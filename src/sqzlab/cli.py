@@ -16,9 +16,6 @@ is echoed into the output metadata.
 
 Parameter defaults used when an axis or flag is omitted: b=0, theta=0,
 seed_ratio=0, n_bar=0. c0, cc and dd have no defaults and must be given.
-
-The environment variable SQZLAB_THREADS caps sweep fan-out (0 = auto,
-1 = sequential); it never changes results, only scheduling.
 """
 
 from __future__ import annotations
@@ -43,10 +40,9 @@ from .frontier import (
     SweepGrid,
     SweepRecord,
     DEFAULT_THRESHOLDS,
+    METHODS,
     default_grid,
-    frontier,
     frontier_suite,
-    ok_points,
     sweep,
 )
 from .opa import NonConvergenceError, OpaParams, opa_evaluate, opa_propagate
@@ -67,17 +63,6 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
 
 
-def _threads() -> int:
-    raw = os.environ.get("SQZLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SQZLAB_THREADS must be an integer, got {raw!r}") from exc
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def _fnum(x: float) -> str:
     """Shortest round-trip decimal form; deterministic across platforms."""
     return repr(float(x))
@@ -93,6 +78,10 @@ def _regime(name: str) -> Regime:
 # ---------------------------------------------------------------- config
 
 
+# the keys a config file may set; the matching flags override them
+CONFIG_KEYS = ("methods", "thresholds", "bins", "format", "out", "seed_cap", "axes")
+
+
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a key = value file; '#' starts a comment."""
     conf: dict[str, str] = {}
@@ -104,7 +93,13 @@ def read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            conf[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(
+                    f"{path}:{lineno}: unknown key {key!r};"
+                    f" expected one of {', '.join(CONFIG_KEYS)}"
+                )
+            conf[key] = value.strip()
     return conf
 
 
@@ -362,12 +357,30 @@ def _resolve_frontier_config(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _grid_for(method: Method, conf: dict[str, str]) -> SweepGrid:
-    cap = float(conf["seed_cap"]) if "seed_cap" in conf else None
+    try:
+        cap = float(conf["seed_cap"]) if "seed_cap" in conf else None
+    except ValueError as exc:
+        raise ConfigError(f"bad seed_cap {conf['seed_cap']!r}") from exc
     if "axes" in conf:
         axes = tuple(parse_axis(s) for s in conf["axes"].split(";") if s.strip())
         constraints = {} if cap is None else {"seed_input_cap": cap}
         return SweepGrid(method=method, axes=axes, constraints=constraints)
     return default_grid(method, seed_input_cap=cap)
+
+
+def _echo(command: str, grid: SweepGrid, **fields: object) -> dict[str, object]:
+    """The effective configuration of one output; it reproduces the run."""
+    echo: dict[str, object] = {
+        "command": command, "method": grid.method.value, **fields,
+        "axes": ";".join(
+            f"{a.name}={_fnum(a.lo)}:{_fnum(a.hi)}:{a.count}:{a.spacing.value}"
+            for a in grid.axes
+        ),
+        "tool_version": __version__,
+    }
+    if grid.constraints:
+        echo["seed_cap"] = grid.constraints["seed_input_cap"]
+    return echo
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -379,17 +392,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep takes exactly one method")
     method = methods[0]
     grid = _grid_for(method, conf)
-    records = sweep(grid, threads=_threads())
-    echo: dict[str, object] = {
-        "command": "sweep", "method": method.value, "format": conf["format"],
-        "axes": ";".join(
-            f"{a.name}={a.lo:g}:{a.hi:g}:{a.count}:{a.spacing.value}"
-            for a in grid.axes
-        ),
-        "tool_version": __version__,
-    }
-    if grid.constraints:
-        echo["seed_cap"] = grid.constraints["seed_input_cap"]
+    records = sweep(grid)
+    echo = _echo("sweep", grid, format=conf["format"])
     if conf["format"] == "json":
         _write(args.out, sweep_json(method, records, echo))
     elif conf["format"] == "csv":
@@ -415,23 +419,16 @@ def cmd_frontier(args: argparse.Namespace) -> int:
 
     for method in methods:
         grid = _grid_for(method, conf)
-        curves = frontier_suite(method, thresholds, grid, bins, threads=_threads())
+        curves = frontier_suite(method, thresholds, grid, bins)
         if all(len(c.points) == 0 for c in curves):
             print(
                 f"warning: empty feasible set for {method.value} at all thresholds",
                 file=sys.stderr,
             )
-        echo: dict[str, object] = {
-            "command": "frontier", "method": method.value,
-            "thresholds": conf["thresholds"], "bins": conf["bins"], "format": fmt,
-            "axes": ";".join(
-                f"{a.name}={a.lo:g}:{a.hi:g}:{a.count}:{a.spacing.value}"
-                for a in grid.axes
-            ),
-            "tool_version": __version__,
-        }
-        if grid.constraints:
-            echo["seed_cap"] = grid.constraints["seed_input_cap"]
+        echo = _echo(
+            "frontier", grid,
+            thresholds=conf["thresholds"], bins=conf["bins"], format=fmt,
+        )
         if len(methods) == 1:
             path = out_base
         else:
@@ -445,20 +442,9 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         elif fmt == "json":
             text = frontier_json(curves, echo)
         else:
-            text = frontier_csv(curves, AXIS_NAMES_FOR_OUTPUT[method], echo)
+            text = frontier_csv(curves, METHODS[method].params, echo)
         _write(path, text)
     return EXIT_OK
-
-
-AXIS_NAMES_FOR_OUTPUT = {
-    Method.BEAM_SPLITTER: ("b", "theta"),
-    Method.OPO_PHASE: ("c0", "seed_ratio"),
-    Method.OPO_AMPLITUDE: ("c0", "seed_ratio"),
-    Method.OPA_PHASE: ("seed_ratio", "tau"),
-    Method.OPA_AMPLITUDE: ("seed_ratio", "tau"),
-    Method.OM_AMPLITUDE: ("cc", "dd", "n_bar"),
-    Method.OM_PHASE: ("cc", "dd", "n_bar"),
-}
 
 
 def cmd_opa_trajectory(args: argparse.Namespace) -> int:

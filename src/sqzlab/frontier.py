@@ -10,16 +10,18 @@ threshold.
 
 Everything here is deterministic: identical inputs produce identical
 outputs, including tie-breaking (smaller uncertainty first, then smaller
-alpha_sq, then input order). Sweep evaluation may fan out over worker
-threads (see SQZLAB_THREADS in the CLI) because the evaluators are pure;
-results are collected back in grid order before any reduction.
+alpha_sq, then input order).
+
+Per-method facts live in one table, METHODS: the parameter names a method
+accepts (also its frontier CSV parameter columns), its default grid axes
+and the runner that turns a grid into sweep records.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -77,18 +79,6 @@ class Axis:
         return np.linspace(self.lo, self.hi, self.count)
 
 
-# parameter names each method accepts as sweep axes
-AXIS_NAMES = {
-    Method.BEAM_SPLITTER: ("b", "theta"),
-    Method.OPO_PHASE: ("c0", "seed_ratio"),
-    Method.OPO_AMPLITUDE: ("c0", "seed_ratio"),
-    Method.OPA_PHASE: ("seed_ratio", "tau"),
-    Method.OPA_AMPLITUDE: ("seed_ratio", "tau"),
-    Method.OM_AMPLITUDE: ("cc", "dd", "n_bar"),
-    Method.OM_PHASE: ("cc", "dd", "n_bar"),
-}
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     method: Method
@@ -96,7 +86,7 @@ class SweepGrid:
     constraints: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        allowed = AXIS_NAMES[self.method]
+        allowed = METHODS[self.method].params
         seen = set()
         for ax in self.axes:
             if ax.name not in allowed:
@@ -172,55 +162,25 @@ def _grid_rows(axes: Sequence[Axis]) -> list[dict[str, float]]:
     return rows
 
 
-def _map_ordered(
-    fn: Callable[[dict[str, float]], SweepRecord],
-    rows: list[dict[str, float]],
-    threads: int,
-) -> list[SweepRecord]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, rows))
-    return [fn(row) for row in rows]
+def _pointwise(
+    evaluate: Callable[[dict[str, float]], MethodPoint],
+) -> Callable[[SweepGrid], list[SweepRecord]]:
+    """Runner that evaluates each grid row on its own, in grid order."""
+
+    def record(row: dict[str, float]) -> SweepRecord:
+        try:
+            point = evaluate(row)
+        except DomainError as exc:
+            return SweepRecord(values=row, point=None, status="skipped", skip_reason=str(exc))
+        return SweepRecord(values=row, point=point, status="ok")
+
+    return lambda grid: [record(row) for row in _grid_rows(grid.axes)]
 
 
-def _eval_simple(method: Method, row: dict[str, float]) -> SweepRecord:
-    try:
-        if method is Method.BEAM_SPLITTER:
-            point = beamsplitter.bs_evaluate(
-                beamsplitter.BsParams(b=row.get("b", 0.0), theta=row.get("theta", 0.0))
-            )
-        elif method in (Method.OPO_PHASE, Method.OPO_AMPLITUDE):
-            regime = (
-                Regime.PHASE_SQUEEZING
-                if method is Method.OPO_PHASE
-                else Regime.AMPLITUDE_SQUEEZING
-            )
-            point = opo.opo_evaluate(
-                opo.OpoParams(row["c0"], row.get("seed_ratio", 0.0), regime)
-            )
-        else:
-            axis = (
-                SqueezedAxis.AMPLITUDE
-                if method is Method.OM_AMPLITUDE
-                else SqueezedAxis.PHASE
-            )
-            point = optomech.om_evaluate(
-                optomech.OmParams(row["cc"], row["dd"], row.get("n_bar", 0.0), axis)
-            )
-    except DomainError as exc:
-        return SweepRecord(values=row, point=None, status="skipped", skip_reason=str(exc))
-    return SweepRecord(values=row, point=point, status="ok")
-
-
-def _sweep_opa(grid: SweepGrid, threads: int) -> list[SweepRecord]:
+def _sweep_opa(regime: Regime, grid: SweepGrid) -> list[SweepRecord]:
     axes = {ax.name: ax for ax in grid.axes}
     if "seed_ratio" not in axes or "tau" not in axes:
         raise ConfigError("opa sweeps need both a seed_ratio and a tau axis")
-    regime = (
-        Regime.PHASE_SQUEEZING
-        if grid.method is Method.OPA_PHASE
-        else Regime.AMPLITUDE_SQUEEZING
-    )
     taus = axes["tau"].values()
     if taus[0] < 0.0:
         raise ConfigError("tau axis must be non-negative")
@@ -270,14 +230,15 @@ def _apply_opo_amplitude_cutoff(
         groups.setdefault(key, []).append(i)
     out = list(records)
     for idxs in groups.values():
-        idxs = sorted(idxs, key=lambda i: records[i].values["seed_ratio"])
-        scan = [records[i] for i in idxs]
-        if any(r.point is None for r in scan):
-            continue
-        cut = opo.amplitude_cutoff_index([r.point.alpha_sq for r in scan])
+        # points skipped already keep their reason; the cutoff runs over the rest
+        live = sorted(
+            (i for i in idxs if records[i].point is not None),
+            key=lambda i: records[i].values["seed_ratio"],
+        )
+        cut = opo.amplitude_cutoff_index([records[i].point.alpha_sq for i in live])
         if cut is None:
             continue
-        for i in idxs[cut:]:
+        for i in live[cut:]:
             out[i] = SweepRecord(
                 values=records[i].values,
                 point=None,
@@ -287,15 +248,85 @@ def _apply_opo_amplitude_cutoff(
     return out
 
 
-def sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
+def _bs_point(row: dict[str, float]) -> MethodPoint:
+    return beamsplitter.bs_evaluate(
+        beamsplitter.BsParams(b=row.get("b", 0.0), theta=row.get("theta", 0.0))
+    )
+
+
+def _opo_point(regime: Regime) -> Callable[[dict[str, float]], MethodPoint]:
+    return lambda row: opo.opo_evaluate(
+        opo.OpoParams(row["c0"], row.get("seed_ratio", 0.0), regime)
+    )
+
+
+def _om_point(axis: SqueezedAxis) -> Callable[[dict[str, float]], MethodPoint]:
+    return lambda row: optomech.om_evaluate(
+        optomech.OmParams(row["cc"], row["dd"], row.get("n_bar", 0.0), axis)
+    )
+
+
+def _opo_amplitude(grid: SweepGrid) -> list[SweepRecord]:
+    records = _pointwise(_opo_point(Regime.AMPLITUDE_SQUEEZING))(grid)
+    return _apply_opo_amplitude_cutoff(grid, records)
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """What sweeps, default grids and outputs need to know about a method."""
+
+    params: tuple[str, ...]  # accepted axis names, also frontier CSV columns
+    axes: tuple[Axis, ...]  # default grid
+    run: Callable[[SweepGrid], list[SweepRecord]]
+
+
+_BS = ("b", "theta")
+_BS_AXES = (
+    Axis("b", 0.0, 12.0, 121),
+    Axis("theta", 1e-4, math.pi / 2, 400, Spacing.LOG),
+)
+_OPO = ("c0", "seed_ratio")
+_OPO_AXES = (
+    Axis("c0", 0.05, 0.995, 190),
+    Axis("seed_ratio", 1e-6, 10.0, 480, Spacing.LOG),
+)
+_OPA = ("seed_ratio", "tau")
+_OPA_AXES = (
+    Axis("seed_ratio", 1e-3, 30.0, 40, Spacing.LOG),
+    Axis("tau", 0.0, 6.0, 240),
+)
+_OM = ("cc", "dd", "n_bar")
+_OM_AXES = (
+    Axis("cc", 1e-3, 100.0, 160, Spacing.LOG),
+    Axis("dd", 0.005, 1.0, 160),
+)
+
+# Runners look evaluators up on their modules at call time, never at import,
+# so that a module attribute replaced at run time takes effect.
+METHODS: dict[Method, MethodSpec] = {
+    Method.BEAM_SPLITTER: MethodSpec(_BS, _BS_AXES, _pointwise(_bs_point)),
+    Method.OPO_PHASE: MethodSpec(
+        _OPO, _OPO_AXES, _pointwise(_opo_point(Regime.PHASE_SQUEEZING))
+    ),
+    Method.OPO_AMPLITUDE: MethodSpec(_OPO, _OPO_AXES, _opo_amplitude),
+    Method.OPA_PHASE: MethodSpec(
+        _OPA, _OPA_AXES, functools.partial(_sweep_opa, Regime.PHASE_SQUEEZING)
+    ),
+    Method.OPA_AMPLITUDE: MethodSpec(
+        _OPA, _OPA_AXES, functools.partial(_sweep_opa, Regime.AMPLITUDE_SQUEEZING)
+    ),
+    Method.OM_AMPLITUDE: MethodSpec(
+        _OM, _OM_AXES, _pointwise(_om_point(SqueezedAxis.AMPLITUDE))
+    ),
+    Method.OM_PHASE: MethodSpec(
+        _OM, _OM_AXES, _pointwise(_om_point(SqueezedAxis.PHASE))
+    ),
+}
+
+
+def sweep(grid: SweepGrid) -> list[SweepRecord]:
     """Evaluate a method over the full grid, in row-major axis order."""
-    if grid.method in (Method.OPA_PHASE, Method.OPA_AMPLITUDE):
-        return _sweep_opa(grid, threads)
-    rows = _grid_rows(grid.axes)
-    records = _map_ordered(lambda row: _eval_simple(grid.method, row), rows, threads)
-    if grid.method is Method.OPO_AMPLITUDE:
-        records = _apply_opo_amplitude_cutoff(grid, records)
-    return records
+    return METHODS[grid.method].run(grid)
 
 
 def ok_points(records: Iterable[SweepRecord]) -> list[MethodPoint]:
@@ -352,12 +383,11 @@ def frontier_suite(
     thresholds: Sequence[float],
     grid: SweepGrid,
     bins: LogBins = LogBins(),
-    threads: int = 1,
 ) -> list[FrontierCurve]:
     """One sweep shared across a list of uncertainty thresholds."""
     if grid.method is not method:
         raise ConfigError("grid method does not match the requested method")
-    pts = ok_points(sweep(grid, threads=threads))
+    pts = ok_points(sweep(grid))
     return [frontier(pts, thr, bins) for thr in thresholds]
 
 
@@ -367,24 +397,4 @@ DEFAULT_THRESHOLDS = (1.001, 1.01, 1.1, 2.0, 10.0)
 def default_grid(method: Method, seed_input_cap: float | None = None) -> SweepGrid:
     """Documented default sweep grids behind the stock frontier figures."""
     constraints = {} if seed_input_cap is None else {"seed_input_cap": seed_input_cap}
-    if method is Method.BEAM_SPLITTER:
-        axes = (
-            Axis("b", 0.0, 12.0, 121),
-            Axis("theta", 1e-4, math.pi / 2, 400, Spacing.LOG),
-        )
-    elif method in (Method.OPO_PHASE, Method.OPO_AMPLITUDE):
-        axes = (
-            Axis("c0", 0.05, 0.995, 190),
-            Axis("seed_ratio", 1e-6, 10.0, 480, Spacing.LOG),
-        )
-    elif method in (Method.OPA_PHASE, Method.OPA_AMPLITUDE):
-        axes = (
-            Axis("seed_ratio", 1e-3, 30.0, 40, Spacing.LOG),
-            Axis("tau", 0.0, 6.0, 240),
-        )
-    else:
-        axes = (
-            Axis("cc", 1e-3, 100.0, 160, Spacing.LOG),
-            Axis("dd", 0.005, 1.0, 160),
-        )
-    return SweepGrid(method=method, axes=axes, constraints=constraints)
+    return SweepGrid(method=method, axes=METHODS[method].axes, constraints=constraints)

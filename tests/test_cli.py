@@ -283,16 +283,43 @@ def test_config_file_parse(tmp_path):
         read_config_file(str(p))
 
 
-def test_thread_fanout_does_not_change_output(tmp_path, capsys, monkeypatch):
-    args = ["sweep", "--method", "opo_phase", "--axis", "c0=0.1:0.9:6",
-            "--axis", "seed_ratio=1e-4:0.1:6:log", "--format", "csv"]
-    seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-    monkeypatch.setenv("SQZLAB_THREADS", "1")
-    assert main(args + ["--out", str(seq)]) == 0
-    monkeypatch.setenv("SQZLAB_THREADS", "4")
-    assert main(args + ["--out", str(par)]) == 0
+def cli_subprocess(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "sqzlab.cli", *argv], capture_output=True, text=True,
+    )
+
+
+def test_bad_seed_cap_in_config_exits_2(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("methods = opa_phase\nseed_cap = abc\n")
+    proc = cli_subprocess("frontier", "--config", str(conf), "--out", "-")
+    assert proc.returncode == 2
+    assert "seed_cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("methods = bs\nthreshold = 1.5\n")
+    code, _, err = run(capsys, "frontier", "--config", str(conf), "--out", "-")
+    assert code == 2
+    assert "'threshold'" in err
+    assert "methods, thresholds, bins, format, out, seed_cap, axes" in err
+
+
+def test_echoed_axes_reproduce_default_grid_sweep(tmp_path, capsys):
+    default, echoed = tmp_path / "default.csv", tmp_path / "echoed.csv"
+    assert main(["sweep", "--method", "bs", "--out", str(default)]) == 0
+    head = default.read_text().split("\n", 1)[0]
+    assert head.startswith("# axes = ")
+    axes = head[len("# axes = "):].split(";")
+    assert f"theta=0.0001:{math.pi / 2!r}:400:log" in axes
+    argv = ["sweep", "--method", "bs", "--out", str(echoed)]
+    for spec in axes:
+        argv += ["--axis", spec]
+    assert main(argv) == 0
     capsys.readouterr()
-    assert seq.read_bytes() == par.read_bytes()
+    assert echoed.read_bytes() == default.read_bytes()
 
 
 def test_console_entry_point():

@@ -5,6 +5,7 @@ import pytest
 
 from sqzlab.core import MethodPoint, QuadratureStats
 from sqzlab.frontier import (
+    METHODS,
     Axis,
     ConfigError,
     LogBins,
@@ -109,9 +110,35 @@ def test_opa_seed_cap_constraint():
     assert all(r.status == "ok" for r in live)
 
 
-def test_sweep_threads_match_sequential():
-    grid = bs_grid(6, 6)
-    assert sweep(grid, threads=4) == sweep(grid, threads=1)
+def test_methods_table_drives_grids_and_validation():
+    assert set(METHODS) == set(Method)
+    for method, spec in METHODS.items():
+        grid = default_grid(method)
+        assert grid.axes == spec.axes
+        assert {ax.name for ax in grid.axes} <= set(spec.params)
+        with pytest.raises(ConfigError, match="unknown parameter"):
+            SweepGrid(method=method, axes=(Axis("bogus", 0.0, 1.0, 2),))
+
+
+def test_opo_amplitude_cutoff_skips_past_turnaround_around_domain_skips():
+    # seed_ratio < 0 is a domain skip; the cutoff still applies to the rest
+    grid = SweepGrid(
+        method=Method.OPO_AMPLITUDE,
+        axes=(Axis("c0", 0.5, 0.9, 3), Axis("seed_ratio", -0.5, 10.0, 43)),
+    )
+    records = sweep(grid)
+    domain = [r for r in records if r.values["seed_ratio"] < 0.0]
+    assert len(domain) == 6
+    assert all(r.skip_reason.startswith("seed_ratio must be >= 0") for r in domain)
+    assert any("past cutoff" in r.skip_reason for r in records)
+    for c0 in (0.5, 0.7, 0.9):
+        scan = sorted(
+            (r for r in records if r.values["c0"] == c0 and r.status == "ok"),
+            key=lambda r: r.values["seed_ratio"],
+        )
+        alpha = [r.point.alpha_sq for r in scan]
+        assert len(alpha) > 1
+        assert all(b >= a for a, b in zip(alpha, alpha[1:]))
 
 
 def test_bins():
