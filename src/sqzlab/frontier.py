@@ -13,8 +13,9 @@ outputs, including tie-breaking (smaller uncertainty first, then smaller
 alpha_sq, then input order).
 
 Per-method facts live in one table, METHODS: the parameter names a method
-accepts (also its frontier CSV parameter columns), its default grid axes
-and the runner that turns a grid into sweep records.
+accepts (also its frontier CSV parameter columns), the axes a grid must
+have, its default grid axes and the runner that turns a grid into sweep
+records.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class SweepGrid:
     constraints: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        allowed = METHODS[self.method].params
+        spec = METHODS[self.method]
+        allowed = spec.params
         seen = set()
         for ax in self.axes:
             if ax.name not in allowed:
@@ -97,9 +99,17 @@ class SweepGrid:
             if ax.name in seen:
                 raise ConfigError(f"duplicate axis {ax.name!r}")
             seen.add(ax.name)
-        for key in self.constraints:
+        missing = [name for name in spec.required if name not in seen]
+        if missing:
+            raise ConfigError(
+                f"method {self.method.value} needs a sweep axis for"
+                f" {', '.join(missing)}"
+            )
+        for key, value in self.constraints.items():
             if key != "seed_input_cap":
                 raise ConfigError(f"unknown constraint {key!r}")
+            if math.isnan(value):
+                raise ConfigError("seed_input_cap must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -162,43 +172,51 @@ def _grid_rows(axes: Sequence[Axis]) -> list[dict[str, float]]:
     return rows
 
 
+def _record(
+    evaluate: Callable[[dict[str, float]], MethodPoint], row: dict[str, float]
+) -> SweepRecord:
+    try:
+        point = evaluate(row)
+    except DomainError as exc:
+        return SweepRecord(values=row, point=None, status="skipped", skip_reason=str(exc))
+    return SweepRecord(values=row, point=point, status="ok")
+
+
 def _pointwise(
     evaluate: Callable[[dict[str, float]], MethodPoint],
 ) -> Callable[[SweepGrid], list[SweepRecord]]:
     """Runner that evaluates each grid row on its own, in grid order."""
-
-    def record(row: dict[str, float]) -> SweepRecord:
-        try:
-            point = evaluate(row)
-        except DomainError as exc:
-            return SweepRecord(values=row, point=None, status="skipped", skip_reason=str(exc))
-        return SweepRecord(values=row, point=point, status="ok")
-
-    return lambda grid: [record(row) for row in _grid_rows(grid.axes)]
+    return lambda grid: [_record(evaluate, row) for row in _grid_rows(grid.axes)]
 
 
 def _sweep_opa(regime: Regime, grid: SweepGrid) -> list[SweepRecord]:
+    """One closed-form evaluation of every live seed at every requested tau."""
     axes = {ax.name: ax for ax in grid.axes}
-    if "seed_ratio" not in axes or "tau" not in axes:
-        raise ConfigError("opa sweeps need both a seed_ratio and a tau axis")
     taus = axes["tau"].values()
     if taus[0] < 0.0:
         raise ConfigError("tau axis must be non-negative")
-    t_max = float(taus[-1])
     cap = grid.constraints.get("seed_input_cap")
-
     seeds = axes["seed_ratio"].values()
-    live = [float(s) for s in seeds if cap is None or s <= cap]
-    trajectories: dict[float, opa.OpaTrajectory] = {}
-    if live:
-        for s, traj in zip(live, opa.propagate_batch(live, regime, t_max)):
-            trajectories[s] = traj
+    live = seeds if cap is None else seeds[seeds <= cap]
+    a_s, _, cov_x, cov_p = opa.evolve(live, regime, taus)
+    seed_index = {float(s): j for j, s in enumerate(live)}
+    tau_index = {float(t): k for k, t in enumerate(taus)}
+
+    def evaluate(row: dict[str, float]) -> MethodPoint:
+        seed, tau = row["seed_ratio"], row["tau"]
+        if seed < 0.0:
+            raise DomainError(f"seed_ratio must be >= 0, got {seed!r}")
+        j, k = seed_index[seed], tau_index[tau]
+        return opa.output_point(
+            seed, regime, tau, a_s[j, k], cov_x[j, k, 0, 0], cov_p[j, k, 0, 0]
+        )
 
     records: list[SweepRecord] = []
-    ordered = _grid_rows(grid.axes)
-    for row in ordered:
+    for row in _grid_rows(grid.axes):
         seed = row["seed_ratio"]
-        if cap is not None and seed > cap:
+        if seed in seed_index:
+            records.append(_record(evaluate, row))
+        else:
             records.append(
                 SweepRecord(
                     values=row,
@@ -207,11 +225,6 @@ def _sweep_opa(regime: Regime, grid: SweepGrid) -> list[SweepRecord]:
                     skip_reason=f"seed_ratio {seed:g} exceeds seed input cap {cap:g}",
                 )
             )
-            continue
-        traj = trajectories[float(seed)]
-        # snap the requested tau to the nearest integration grid time
-        i = int(round(row["tau"] / t_max * (len(traj.times) - 1)))
-        records.append(SweepRecord(values=row, point=traj.point(i), status="ok"))
     return records
 
 
@@ -276,6 +289,7 @@ class MethodSpec:
     """What sweeps, default grids and outputs need to know about a method."""
 
     params: tuple[str, ...]  # accepted axis names, also frontier CSV columns
+    required: tuple[str, ...]  # axes every grid must have
     axes: tuple[Axis, ...]  # default grid
     run: Callable[[SweepGrid], list[SweepRecord]]
 
@@ -304,22 +318,23 @@ _OM_AXES = (
 # Runners look evaluators up on their modules at call time, never at import,
 # so that a module attribute replaced at run time takes effect.
 METHODS: dict[Method, MethodSpec] = {
-    Method.BEAM_SPLITTER: MethodSpec(_BS, _BS_AXES, _pointwise(_bs_point)),
+    Method.BEAM_SPLITTER: MethodSpec(_BS, (), _BS_AXES, _pointwise(_bs_point)),
     Method.OPO_PHASE: MethodSpec(
-        _OPO, _OPO_AXES, _pointwise(_opo_point(Regime.PHASE_SQUEEZING))
+        _OPO, ("c0",), _OPO_AXES, _pointwise(_opo_point(Regime.PHASE_SQUEEZING))
     ),
-    Method.OPO_AMPLITUDE: MethodSpec(_OPO, _OPO_AXES, _opo_amplitude),
+    Method.OPO_AMPLITUDE: MethodSpec(_OPO, ("c0",), _OPO_AXES, _opo_amplitude),
     Method.OPA_PHASE: MethodSpec(
-        _OPA, _OPA_AXES, functools.partial(_sweep_opa, Regime.PHASE_SQUEEZING)
+        _OPA, _OPA, _OPA_AXES, functools.partial(_sweep_opa, Regime.PHASE_SQUEEZING)
     ),
     Method.OPA_AMPLITUDE: MethodSpec(
-        _OPA, _OPA_AXES, functools.partial(_sweep_opa, Regime.AMPLITUDE_SQUEEZING)
+        _OPA, _OPA, _OPA_AXES,
+        functools.partial(_sweep_opa, Regime.AMPLITUDE_SQUEEZING),
     ),
     Method.OM_AMPLITUDE: MethodSpec(
-        _OM, _OM_AXES, _pointwise(_om_point(SqueezedAxis.AMPLITUDE))
+        _OM, ("cc", "dd"), _OM_AXES, _pointwise(_om_point(SqueezedAxis.AMPLITUDE))
     ),
     Method.OM_PHASE: MethodSpec(
-        _OM, _OM_AXES, _pointwise(_om_point(SqueezedAxis.PHASE))
+        _OM, ("cc", "dd"), _OM_AXES, _pointwise(_om_point(SqueezedAxis.PHASE))
     ),
 }
 

@@ -17,18 +17,36 @@ pump tends to -sqrt(c1).
 Quadrature fluctuations are linearized around the mean fields. For real
 fields the X and P sectors decouple:
 
-    d/dt (x_s, x_p) = [[ A_p, A_s], [-A_s, 0]] (x_s, x_p)
-    d/dt (p_s, p_p) = [[-A_p, A_s], [-A_s, 0]] (p_s, p_p)
+    d/dt (x_s, x_p) = M_x (x_s, x_p),  M_x = [[ A_p, A_s], [-A_s, 0]]
+    d/dt (p_s, p_p) = M_p (p_s, p_p),  M_p = [[-A_p, A_s], [-A_s, 0]]
 
-and each 2x2 covariance block evolves by dV/dt = M V + V M^T from the
-vacuum (identity). The blocks are integrated with classical fixed-step
-RK4, mean fields supplied by the closed form at the stage times. The
-trace of the X drift is +A_p and of the P drift -A_p, so
-det(V_x) det(V_p) is conserved: the joint four-quadrature state stays
-pure even as the seed marginal becomes mixed.
+and each 2x2 covariance block is V = Phi Phi^T for the sector's
+fundamental matrix Phi, starting from the vacuum (identity). Both Phi are
+closed form:
 
-The integrator is vectorized over a batch of seed ratios sharing one time
-grid, which is what parameter sweeps use.
+* X sector. M_x is the Jacobian of the mean-field vector field
+  f(A) = (A_s A_p, -A_s^2/2), so symmetries of the flow give solutions of
+  the linearized equation: time translation gives f(A_t) and the scaling
+  A -> lambda A(lambda t) gives A_t + t f(A_t). Hence
+  Phi_x = [f(A_t), A_t + t f(A_t)] [f(A_0), A_0]^-1.
+* P sector. M_p = -M_x^T (the linearized flow is symplectic), so
+  Phi_p = Phi_x^-T, and det Phi_x = A_s(t)/A_s(0) by Liouville's formula.
+  This is the matrix that the phase-rotation solution (A_s, 2 A_p) and its
+  reduction-of-order partner give; written this way it has no 0/0 as the
+  seed goes to zero.
+
+The seed's own amplitude divides out of every entry, so one formula covers
+the zero-seed limit, where the sectors decouple into diag(e^{2 e_p t}, 1)
+and diag(e^{-2 e_p t}, 1). det(V_x) det(V_p) = 1: the joint
+four-quadrature state stays pure even as the seed marginal becomes mixed.
+
+`evolve` evaluates the mean fields and both blocks for a batch of seeds at
+arbitrary times; sweeps, point evaluation and trajectories all read it.
+A covariance that overflows double precision is reported as a DomainError.
+`sqzlab.oracle.opa_covariance_rk4` integrates the same equations with
+fixed-step RK4; `opa_propagate(..., check_steps=True)` runs it at the
+trajectory's step count and raises NonConvergenceError when the two
+disagree.
 """
 
 from __future__ import annotations
@@ -45,7 +63,11 @@ STEPS_PER_UNIT_TIME = 4096
 
 
 class NonConvergenceError(RuntimeError):
-    """Doubling the step count moved a terminal variance by > 1e-6."""
+    """RK4 at the requested step count departs from the closed form."""
+
+
+def _pump_sign(regime: Regime) -> float:
+    return 1.0 if regime is Regime.PHASE_SQUEEZING else -1.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +91,27 @@ class OpaParams:
 
     @property
     def pump_sign(self) -> float:
-        return 1.0 if self.regime is Regime.PHASE_SQUEEZING else -1.0
+        return _pump_sign(self.regime)
+
+
+def output_point(
+    seed_ratio: float, regime: Regime, tau: float,
+    a_s: float, var_x: float, var_p: float,
+) -> MethodPoint:
+    """The seed's output record at time tau, from evaluated fields."""
+    var_x, var_p = float(var_x), float(var_p)
+    if not math.isfinite(var_x * var_p):
+        raise DomainError(
+            f"noise covariance overflows double precision at tau={tau!r}"
+            f" (seed_ratio={seed_ratio!r})"
+        )
+    return MethodPoint(
+        alpha_sq=float(a_s) ** 2,  # |e_p| = 1
+        stats=QuadratureStats(var_x=var_x, var_p=var_p),
+        params={
+            "seed_ratio": float(seed_ratio), "tau": float(tau), "regime": regime.value,
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -96,46 +138,48 @@ class OpaTrajectory:
         return float(self.a_s[i] ** 2)  # |e_p| = 1
 
     def point(self, i: int) -> MethodPoint:
-        return MethodPoint(
-            alpha_sq=self.alpha_sq(i),
-            stats=self.seed_stats(i),
-            params={
-                "seed_ratio": self.params.seed_ratio,
-                "tau": float(self.times[i]),
-                "regime": self.params.regime.value,
-            },
+        return output_point(
+            self.params.seed_ratio, self.params.regime, float(self.times[i]),
+            self.a_s[i], self.cov_x[i, 0, 0], self.cov_p[i, 0, 0],
         )
+
+
+def _fields(
+    s: float | np.ndarray, pump_sign: float, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """r = A_s(t)/A_s(0) and A_p(t), broadcast over seeds s and times t >= 0.
+
+    The closed form, rewritten with e = exp(-2x), x = sqrt(c1) t and
+    k = 1 - pump/sqrt(c1) (that is, 1 + tanh u0):
+
+        r = 2 sqrt(e) / N,   A_p = pump - s^2 (1 - e) / (2 sqrt(c1) N),
+        N = 2e + k (1 - e).
+
+    Every term of N is >= 0, so nothing cancels as the seed goes to zero;
+    t = 0 gives r = 1 and A_p = pump exactly, and large t underflows rather
+    than overflowing.
+    """
+    s2 = s * s
+    c1 = 1.0 + s2 / 2.0
+    rc = np.sqrt(c1)
+    # 1 - 1/sqrt(c1) written without cancellation for the amplifying pump
+    k = s2 / (2.0 * (c1 + rc)) if pump_sign > 0 else 1.0 + 1.0 / rc
+    x = rc * t
+    q = np.exp(-x)
+    one_minus_e = -np.expm1(-2.0 * x)
+    n = 2.0 * q * q + k * one_minus_e
+    return 2.0 * q / n, pump_sign - s2 * one_minus_e / (2.0 * rc * n)
 
 
 def mean_fields(
     times: np.ndarray, seed_ratio: float, pump_sign: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (A_s, A_p) on a time grid.
-
-    Evaluated through the hyperbolic addition identities
-
-        tanh(x + u0) = (tanh x + tanh u0) / (1 + tanh x tanh u0)
-        sech(x + u0) = sech x sech u0 / (1 + tanh x tanh u0)
-
-    with tanh(u0) = -pump/sqrt(c1) and sech(u0) = seed/sqrt(2 c1) known
-    exactly, which keeps t = 0 exact and avoids the ill-conditioned
-    artanh near the zero-seed limit. sech is computed overflow-free.
-    """
+    """Closed-form (A_s, A_p) on a time grid (times >= 0)."""
     times = np.asarray(times, dtype=float)
     if seed_ratio == 0.0:
         return np.zeros_like(times), np.full_like(times, pump_sign)
-    c1 = 1.0 + seed_ratio * seed_ratio / 2.0
-    rc = math.sqrt(c1)
-    tanh0 = -pump_sign / rc
-    sech0 = seed_ratio / math.sqrt(2.0 * c1)
-    x = rc * times
-    tanh_x = np.tanh(x)
-    e = np.exp(-np.abs(x))
-    sech_x = 2.0 * e / (1.0 + e * e)
-    denom = 1.0 + tanh_x * tanh0
-    a_s = math.sqrt(2.0 * c1) * sech_x * sech0 / denom
-    a_p = -rc * (tanh_x + tanh0) / denom
-    return a_s, a_p
+    r, a_p = _fields(seed_ratio, pump_sign, times)
+    return seed_ratio * r, a_p
 
 
 def opa_mean_field(params: OpaParams, t: float) -> tuple[float, float]:
@@ -144,134 +188,90 @@ def opa_mean_field(params: OpaParams, t: float) -> tuple[float, float]:
     return float(a_s[0]), float(a_p[0])
 
 
-def _integrate_batch(
-    seed_ratios: np.ndarray, pump_sign: float, t_max: float, n_steps: int
+def _gram(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Phi Phi^T for the stack of 2x2 matrices with rows (a, b) and (c, d)."""
+    out = np.empty(a.shape + (2, 2))
+    out[..., 0, 0] = a * a + b * b
+    out[..., 0, 1] = out[..., 1, 0] = a * c + b * d
+    out[..., 1, 1] = c * c + d * d
+    return out
+
+
+def evolve(
+    seed_ratios: Sequence[float] | np.ndarray, regime: Regime,
+    times: Sequence[float] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 on the sector covariances for a batch of seeds at once.
+    """Mean fields and covariance blocks of each seed at each time >= 0.
 
-    Returns times (n+1,), fields (2, n+1, B) and the six covariance
-    components stacked as (n+1, 6, B) in the order
-    (vx_ss, vx_sp, vx_pp, vp_ss, vp_sp, vp_pp).
+    Returns a_s and a_p of shape (seeds, times) and cov_x, cov_p of shape
+    (seeds, times, 2, 2). Entries past the range of double precision come
+    out inf or nan; output_point turns them into a DomainError.
     """
-    b = len(seed_ratios)
-    half_times = np.linspace(0.0, t_max, 2 * n_steps + 1)
-    a_s = np.empty((2 * n_steps + 1, b))
-    a_p = np.empty((2 * n_steps + 1, b))
-    for j, sr in enumerate(seed_ratios):
-        a_s[:, j], a_p[:, j] = mean_fields(half_times, float(sr), pump_sign)
-
-    h = t_max / n_steps
-    y = np.zeros((6, b))
-    y[0] = y[2] = y[3] = y[5] = 1.0  # vacuum
-    out = np.empty((n_steps + 1, 6, b))
-    out[0] = y
-
-    def rhs(y: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
-        vx_ss, vx_sp, vx_pp, vp_ss, vp_sp, vp_pp = y
-        return np.stack(
-            [
-                2.0 * (a * vx_ss + s * vx_sp),
-                a * vx_sp + s * vx_pp - s * vx_ss,
-                -2.0 * s * vx_sp,
-                2.0 * (-a * vp_ss + s * vp_sp),
-                -a * vp_sp + s * vp_pp - s * vp_ss,
-                -2.0 * s * vp_sp,
-            ]
-        )
-
-    for i in range(n_steps):
-        a0, s0 = a_p[2 * i], a_s[2 * i]
-        am, sm = a_p[2 * i + 1], a_s[2 * i + 1]
-        a1, s1 = a_p[2 * i + 2], a_s[2 * i + 2]
-        k1 = rhs(y, a0, s0)
-        k2 = rhs(y + 0.5 * h * k1, am, sm)
-        k3 = rhs(y + 0.5 * h * k2, am, sm)
-        k4 = rhs(y + h * k3, a1, s1)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = y
-
-    times = np.linspace(0.0, t_max, n_steps + 1)
-    fields = np.stack([a_s[::2], a_p[::2]])
-    return times, fields[0], fields[1], out
-
-
-def _cov_blocks(components: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n+1, 2, 2) X and P covariance stacks for batch column j."""
-    n1 = components.shape[0]
-    cov_x = np.empty((n1, 2, 2))
-    cov_p = np.empty((n1, 2, 2))
-    cov_x[:, 0, 0] = components[:, 0, j]
-    cov_x[:, 0, 1] = cov_x[:, 1, 0] = components[:, 1, j]
-    cov_x[:, 1, 1] = components[:, 2, j]
-    cov_p[:, 0, 0] = components[:, 3, j]
-    cov_p[:, 0, 1] = cov_p[:, 1, 0] = components[:, 4, j]
-    cov_p[:, 1, 1] = components[:, 5, j]
-    return cov_x, cov_p
+    p = _pump_sign(regime)
+    s = np.asarray(seed_ratios, dtype=float)[:, None]
+    t = np.asarray(times, dtype=float)[None, :]
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        r, a_p = _fields(s, p, t)
+        s2 = s * s
+        c1 = 1.0 + s2 / 2.0
+        rr = r * r
+        # Phi_x with the 1/s of [f(A_0), A_0]^-1 divided into A_s = s r
+        f11 = r * (p * a_p + 0.5 * s2 * (1.0 + t * a_p)) / c1
+        f12 = s * r * (p + (p * t - 1.0) * a_p) / c1
+        f21 = s * (a_p - p * rr - 0.5 * t * s2 * rr) / (2.0 * c1)
+        f22 = (p * a_p + 0.5 * s2 * rr * (1.0 - p * t)) / c1
+        cov_x = _gram(f11, f12, f21, f22)
+        # Phi_p = Phi_x^-T, with 1/det Phi_x = 1/r
+        cov_p = _gram(f22 / r, -f21 / r, -f12 / r, f11 / r)
+    return s * r, a_p, cov_x, cov_p
 
 
 def propagate_batch(
     seed_ratios: Sequence[float], regime: Regime, t_max: float, n_steps: int = 0
 ) -> list[OpaTrajectory]:
-    """Propagate many seeds over one shared time grid in a single pass."""
-    ref = OpaParams(0.0, t_max, regime, n_steps)
-    seeds = np.asarray([OpaParams(s, t_max, regime).seed_ratio for s in seed_ratios])
-    times, a_s, a_p, comp = _integrate_batch(
-        seeds, ref.pump_sign, t_max, ref.n_steps
-    )
-    out = []
-    for j, s in enumerate(seeds):
-        cov_x, cov_p = _cov_blocks(comp, j)
-        out.append(
-            OpaTrajectory(
-                times=times, a_s=a_s[:, j], a_p=a_p[:, j], cov_x=cov_x, cov_p=cov_p,
-                params=OpaParams(float(s), t_max, regime, ref.n_steps),
-            )
-        )
-    return out
+    """Trajectories of many seeds sampled on one shared time grid."""
+    n = OpaParams(0.0, t_max, regime, n_steps).n_steps
+    params = [OpaParams(s, t_max, regime, n) for s in seed_ratios]
+    times = np.linspace(0.0, t_max, n + 1)
+    a_s, a_p, cov_x, cov_p = evolve([p.seed_ratio for p in params], regime, times)
+    return [
+        OpaTrajectory(times, a_s[j], a_p[j], cov_x[j], cov_p[j], p)
+        for j, p in enumerate(params)
+    ]
 
 
 def opa_propagate(params: OpaParams, check_steps: bool = False) -> OpaTrajectory:
-    """Integrate the linearized noise covariance from vacuum.
+    """Noise covariance from vacuum, sampled on params.n_steps + 1 times.
 
-    With check_steps=True the terminal variances are re-computed at twice
-    the step count; a shift above 1e-6 raises NonConvergenceError.
+    With check_steps=True the RK4 validator is run on the same grid, and a
+    departure above 1e-6 (relative to sqrt(V_ii V_jj) for each entry V_ij)
+    raises NonConvergenceError.
     """
-    seeds = np.array([params.seed_ratio])
-    times, a_s, a_p, comp = _integrate_batch(
-        seeds, params.pump_sign, params.t_max, params.n_steps
-    )
+    traj = propagate_batch(
+        [params.seed_ratio], params.regime, params.t_max, params.n_steps
+    )[0]
     if check_steps:
-        _, _, _, comp2 = _integrate_batch(
-            seeds, params.pump_sign, params.t_max, 2 * params.n_steps
+        from .oracle import opa_covariance_gap, opa_covariance_rk4  # oracle imports us
+
+        _, _, _, comp = opa_covariance_rk4(
+            np.array([params.seed_ratio]), params.pump_sign, params.t_max,
+            params.n_steps,
         )
-        gap = float(np.abs(comp[-1] - comp2[-1]).max())
-        if gap > 1e-6:
+        gap = opa_covariance_gap(traj.cov_x, traj.cov_p, comp[:, :, 0])
+        if not gap <= 1e-6:
             raise NonConvergenceError(
-                f"terminal variances moved by {gap:.3e} when doubling "
-                f"n_steps={params.n_steps}; refine the step count"
+                f"RK4 at n_steps={params.n_steps} departs from the closed-form "
+                f"covariance by {gap:.3e} (relative); refine the step count"
             )
-    cov_x, cov_p = _cov_blocks(comp, 0)
-    return OpaTrajectory(
-        times=times, a_s=a_s[:, 0], a_p=a_p[:, 0], cov_x=cov_x, cov_p=cov_p,
-        params=params,
-    )
+    return traj
 
 
 def opa_evaluate(params: OpaParams, t: float) -> MethodPoint:
-    """Output point at interaction time t (integrates over [0, t])."""
+    """Output point at interaction time exactly t."""
     if not 0.0 <= t <= params.t_max:
         raise DomainError(f"t must lie in [0, t_max], got {t!r}")
-    if t == 0.0:
-        return MethodPoint(
-            alpha_sq=params.seed_ratio**2,
-            stats=QuadratureStats(1.0, 1.0),
-            params={
-                "seed_ratio": params.seed_ratio,
-                "tau": 0.0,
-                "regime": params.regime.value,
-            },
-        )
-    n = max(2, round(params.n_steps * t / params.t_max))
-    sub = OpaParams(params.seed_ratio, t, params.regime, n)
-    traj = opa_propagate(sub)
-    return traj.point(len(traj.times) - 1)
+    a_s, _, cov_x, cov_p = evolve([params.seed_ratio], params.regime, [t])
+    return output_point(
+        params.seed_ratio, params.regime, t,
+        a_s[0, 0], cov_x[0, 0, 0, 0], cov_p[0, 0, 0, 0],
+    )

@@ -1,11 +1,15 @@
 """Brute-force validators independent of the closed-form evaluators.
 
-Two small engines live here:
+Three small engines live here:
 
 * a symplectic Gaussian-state simulator (squeeze, displace, beam-splitter)
-  used to cross-check the beam-splitter evaluator, and
+  used to cross-check the beam-splitter evaluator,
 * a fixed-step RK4 integrator for the nonlinear parametric-amplifier
-  mean-field pair, used to cross-check the analytic tanh/sech solution.
+  mean-field pair, used to cross-check the analytic tanh/sech solution, and
+* a fixed-step RK4 integrator for the amplifier's linearized noise
+  covariance (dV/dt = M V + V M^T per quadrature sector, mean fields taken
+  from the closed form), used to cross-check the closed-form covariance
+  of `sqzlab.opa` and behind `opa_propagate(..., check_steps=True)`.
 
 They are shipped (not test-only) so every published number can be
 reproduced from the installed package.
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError
+from .opa import mean_fields
 
 
 @dataclass(frozen=True)
@@ -173,3 +178,71 @@ def mean_field_ode(
     _, a_s2, a_p2 = run(2 * n_steps)
     err = max(abs(a_s[-1] - a_s2[-1]), abs(a_p[-1] - a_p2[-1]))
     return times, a_s, a_p, float(err)
+
+
+def opa_covariance_rk4(
+    seed_ratios: np.ndarray, pump_sign: float, t_max: float, n_steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """RK4 on the amplifier's sector covariances for a batch of seeds at once.
+
+    Returns times (n+1,), fields a_s and a_p (n+1, B) and the six covariance
+    components stacked as (n+1, 6, B) in the order
+    (vx_ss, vx_sp, vx_pp, vp_ss, vp_sp, vp_pp).
+    """
+    b = len(seed_ratios)
+    half_times = np.linspace(0.0, t_max, 2 * n_steps + 1)
+    a_s = np.empty((2 * n_steps + 1, b))
+    a_p = np.empty((2 * n_steps + 1, b))
+    for j, sr in enumerate(seed_ratios):
+        a_s[:, j], a_p[:, j] = mean_fields(half_times, float(sr), pump_sign)
+
+    h = t_max / n_steps
+    y = np.zeros((6, b))
+    y[0] = y[2] = y[3] = y[5] = 1.0  # vacuum
+    out = np.empty((n_steps + 1, 6, b))
+    out[0] = y
+
+    def rhs(y: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+        vx_ss, vx_sp, vx_pp, vp_ss, vp_sp, vp_pp = y
+        return np.stack(
+            [
+                2.0 * (a * vx_ss + s * vx_sp),
+                a * vx_sp + s * vx_pp - s * vx_ss,
+                -2.0 * s * vx_sp,
+                2.0 * (-a * vp_ss + s * vp_sp),
+                -a * vp_sp + s * vp_pp - s * vp_ss,
+                -2.0 * s * vp_sp,
+            ]
+        )
+
+    for i in range(n_steps):
+        a0, s0 = a_p[2 * i], a_s[2 * i]
+        am, sm = a_p[2 * i + 1], a_s[2 * i + 1]
+        a1, s1 = a_p[2 * i + 2], a_s[2 * i + 2]
+        k1 = rhs(y, a0, s0)
+        k2 = rhs(y + 0.5 * h * k1, am, sm)
+        k3 = rhs(y + 0.5 * h * k2, am, sm)
+        k4 = rhs(y + h * k3, a1, s1)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = y
+
+    times = np.linspace(0.0, t_max, n_steps + 1)
+    return times, a_s[::2], a_p[::2], out
+
+
+def opa_covariance_gap(
+    cov_x: np.ndarray, cov_p: np.ndarray, components: np.ndarray
+) -> float:
+    """Largest departure of RK4 components (n, 6) from covariance blocks (n, 2, 2).
+
+    Each entry V_ij is compared relative to sqrt(V_ii V_jj), which bounds
+    |V_ij|, so an off-diagonal entry passing through zero is not divided
+    by zero.
+    """
+    gap = 0.0
+    for cov, rk4 in ((cov_x, components[:, 0:3]), (cov_p, components[:, 3:6])):
+        d = np.sqrt(cov[:, [0, 1], [0, 1]])
+        scale = d[:, [0, 0, 1]] * d[:, [0, 1, 1]]
+        ref = cov[:, [0, 0, 1], [0, 1, 1]]  # (ss, sp, pp)
+        gap = max(gap, float(np.max(np.abs(rk4 - ref) / scale)))
+    return gap

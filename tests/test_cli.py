@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import xml.dom.minidom
 
 import pytest
@@ -296,6 +297,44 @@ def test_bad_seed_cap_in_config_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "seed_cap" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "method, axis, missing",
+    [
+        ("opo_phase", "seed_ratio=0.1:1:3", "c0"),
+        ("om_phase", "cc=0.1:1:3", "dd"),
+        ("opa_phase", "seed_ratio=0.1:1:3", "tau"),
+    ],
+)
+def test_sweep_missing_required_axis_exits_2(method, axis, missing):
+    proc = cli_subprocess("sweep", "--method", method, "--axis", axis, "--out", "-")
+    assert proc.returncode == 2
+    assert missing in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_nan_seed_cap_exits_2(tmp_path, route):
+    argv = ["sweep", "--out", "-"]
+    if route == "flag":
+        argv += ["--method", "opa_phase", "--seed-cap", "nan"]
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text("methods = opa_phase\nseed_cap = nan\n")
+        argv += ["--config", str(conf)]
+    proc = cli_subprocess(*argv, "--axis", "seed_ratio=0.1:1:3", "--axis", "tau=0:1:3")
+    assert proc.returncode == 2
+    assert "seed_input_cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_point_opa_huge_tau_is_bounded(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "point", "opa", "--seed-ratio", "0.1", "--tau", "1e9")
+    assert time.perf_counter() - t0 < 0.25
+    assert code == 2
+    assert "overflows double precision" in err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

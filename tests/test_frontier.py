@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqzlab.core import MethodPoint, QuadratureStats
+from sqzlab.core import MethodPoint, QuadratureStats, Regime
 from sqzlab.frontier import (
     METHODS,
     Axis,
@@ -18,6 +18,7 @@ from sqzlab.frontier import (
     ok_points,
     sweep,
 )
+from sqzlab.opa import OpaParams, opa_evaluate
 
 
 def bs_grid(nb=10, nt=10, b_hi=3.0):
@@ -108,6 +109,58 @@ def test_opa_seed_cap_constraint():
     assert all("seed input cap" in r.skip_reason for r in capped)
     live = [r for r in records if r.values["seed_ratio"] <= 1.0]
     assert all(r.status == "ok" for r in live)
+
+
+def test_opa_sweep_evaluates_each_tau_exactly():
+    # taus off any integration grid are used as given, not snapped
+    grid = SweepGrid(
+        method=Method.OPA_AMPLITUDE,
+        axes=(Axis("tau", 0.0, 1.0, 7), Axis("seed_ratio", 0.01, 3.0, 4, Spacing.LOG)),
+    )
+    records = sweep(grid)
+    assert [r.status for r in records] == ["ok"] * 28
+    for rec in records:
+        seed, tau = rec.values["seed_ratio"], rec.values["tau"]
+        assert rec.point.params["tau"] == tau
+        pt = opa_evaluate(OpaParams(seed, 1.0, Regime.AMPLITUDE_SQUEEZING), tau)
+        assert rec.point.alpha_sq == pytest.approx(pt.alpha_sq, rel=1e-14)
+        assert rec.point.stats.var_x == pytest.approx(pt.stats.var_x, rel=1e-14)
+        assert rec.point.stats.var_p == pytest.approx(pt.stats.var_p, rel=1e-14)
+
+
+def test_opa_sweep_skips_overflowing_points():
+    grid = SweepGrid(
+        method=Method.OPA_PHASE,
+        axes=(Axis("seed_ratio", 0.1, 1.0, 3), Axis("tau", 0.0, 1e9, 3)),
+    )
+    records = sweep(grid)
+    for rec in records:
+        if rec.values["tau"] == 0.0:
+            assert rec.status == "ok"
+        else:
+            assert rec.status == "skipped"
+            assert "overflows double precision" in rec.skip_reason
+    curve = frontier(ok_points(records), math.inf, LogBins(1e-4, 10.0, 10))
+    assert all(math.isfinite(p.uncertainty) for p in curve.points)
+
+
+@pytest.mark.parametrize(
+    "method, axes, missing",
+    [
+        (Method.OPO_PHASE, (Axis("seed_ratio", 0.1, 1.0, 3),), "c0"),
+        (Method.OM_PHASE, (Axis("cc", 0.1, 1.0, 3),), "dd"),
+        (Method.OPA_AMPLITUDE, (Axis("seed_ratio", 0.1, 1.0, 3),), "tau"),
+    ],
+)
+def test_grid_missing_required_axis_rejected(method, axes, missing):
+    with pytest.raises(ConfigError, match=f"needs a sweep axis for {missing}"):
+        SweepGrid(method=method, axes=axes)
+
+
+def test_nan_seed_cap_rejected():
+    axes = default_grid(Method.OPA_PHASE).axes
+    with pytest.raises(ConfigError, match="seed_input_cap"):
+        SweepGrid(Method.OPA_PHASE, axes, {"seed_input_cap": math.nan})
 
 
 def test_methods_table_drives_grids_and_validation():

@@ -8,13 +8,14 @@ from sqzlab.opa import (
     NonConvergenceError,
     OpaParams,
     OpaTrajectory,
+    evolve,
     mean_fields,
     opa_evaluate,
     opa_mean_field,
     opa_propagate,
     propagate_batch,
 )
-from sqzlab.oracle import mean_field_ode
+from sqzlab.oracle import mean_field_ode, opa_covariance_rk4
 
 PHASE = Regime.PHASE_SQUEEZING
 AMP = Regime.AMPLITUDE_SQUEEZING
@@ -96,10 +97,11 @@ def test_seed_marginal_respects_heisenberg():
 
 
 def test_rk4_convergence_order():
+    # the RK4 covariance validator converges at 4th order in the step
     vals = []
     for n in (512, 1024, 2048):
-        traj = opa_propagate(OpaParams(0.05, 3.0, PHASE, n))
-        vals.append(traj.cov_p[-1, 0, 0])
+        _, _, _, comp = opa_covariance_rk4(np.array([0.05]), 1.0, 3.0, n)
+        vals.append(comp[-1, 3, 0])  # vp_ss at t = 3
     order = math.log2(abs(vals[0] - vals[1]) / abs(vals[1] - vals[2]))
     assert order == pytest.approx(4.0, abs=0.4)
 
@@ -109,6 +111,42 @@ def test_nonconvergence_flag():
         opa_propagate(OpaParams(0.3, 6.0, PHASE, 4), check_steps=True)
     # a well resolved trajectory passes the same check
     opa_propagate(OpaParams(0.3, 1.0, PHASE, 2048), check_steps=True)
+
+
+@pytest.mark.parametrize("regime", [PHASE, AMP])
+def test_zero_seed_limit_is_exact(regime):
+    # no seed: the pump stays put and the sectors decouple into exponentials
+    p = 1.0 if regime is PHASE else -1.0
+    times = np.linspace(0.0, 6.0, 61)
+    a_s, a_p, cov_x, cov_p = evolve([0.0], regime, times)
+    assert np.all(a_s == 0.0) and np.all(a_p == p)
+    for cov, sign in ((cov_x[0], p), (cov_p[0], -p)):
+        assert np.all(cov[:, 0, 1] == 0.0) and np.all(cov[:, 1, 0] == 0.0)
+        assert np.all(cov[:, 1, 1] == 1.0)
+        np.testing.assert_allclose(cov[:, 0, 0], np.exp(2.0 * sign * times), rtol=4e-15)
+
+
+@pytest.mark.parametrize("regime", [PHASE, AMP])
+def test_closed_form_joint_purity(regime):
+    for seed in (0.0, 1e-3, 0.05, 1.0, 3.0):
+        traj = opa_propagate(OpaParams(seed, 6.0, regime))
+        det = np.linalg.det(traj.cov_x) * np.linalg.det(traj.cov_p)
+        assert np.abs(det - 1.0).max() <= 1e-10
+
+
+def test_evaluate_is_exact_at_t():
+    # t is used as given, whatever the step count in the params
+    pt = opa_evaluate(OpaParams(0.3, 2.0, PHASE, 2), 1.2345)
+    _, a_s, _, comp = opa_covariance_rk4(np.array([0.3]), 1.0, 1.2345, 4096)
+    assert pt.params["tau"] == 1.2345
+    assert pt.stats.var_x == pytest.approx(comp[-1, 0, 0], rel=1e-10)
+    assert pt.stats.var_p == pytest.approx(comp[-1, 3, 0], rel=1e-10)
+    assert pt.alpha_sq == pytest.approx(a_s[-1, 0] ** 2, rel=1e-12)
+
+
+def test_evaluate_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows double precision"):
+        opa_evaluate(OpaParams(0.1, 1e9), 1e9)
 
 
 def test_evaluate_at_zero():

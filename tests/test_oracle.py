@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sqzlab.core import DomainError
-from sqzlab.opa import mean_fields
+from sqzlab.core import DomainError, Regime
+from sqzlab.opa import evolve, mean_fields
 from sqzlab.oracle import (
     GaussianState,
     apply_beamsplitter,
@@ -13,6 +13,8 @@ from sqzlab.oracle import (
     is_physical,
     mean_field_ode,
     mode_variances,
+    opa_covariance_gap,
+    opa_covariance_rk4,
     symplectic_form,
     vacuum,
 )
@@ -135,3 +137,16 @@ def test_mean_field_ode_matches_closed_form(seed, pump):
     assert np.abs(a_s - cs).max() < 1e-8
     assert np.abs(a_p - cp).max() < 1e-8
     assert err < 1e-8
+
+
+@pytest.mark.parametrize("regime", [Regime.PHASE_SQUEEZING, Regime.AMPLITUDE_SQUEEZING])
+def test_opa_closed_form_covariance_matches_rk4(regime):
+    # the default-grid seeds over tau <= 6; RK4's error at a fixed step
+    # grows with the rate sqrt(1 + seed^2/2), so bright seeds get finer steps
+    pump = 1.0 if regime is Regime.PHASE_SQUEEZING else -1.0
+    seeds = np.logspace(-3, math.log10(30.0), 40)
+    for band, n_steps in ((seeds <= 5.0, 6144), (seeds > 5.0, 36864)):
+        times, _, _, comp = opa_covariance_rk4(seeds[band], pump, 6.0, n_steps)
+        _, _, cov_x, cov_p = evolve(seeds[band], regime, times)
+        for j in range(band.sum()):
+            assert opa_covariance_gap(cov_x[j], cov_p[j], comp[:, :, j]) <= 1e-8
