@@ -120,9 +120,10 @@ def parse_axis(spec: str) -> Axis:
 def parse_bins(spec: str) -> LogBins:
     try:
         lo, hi, count = spec.split(":")
-        return LogBins(float(lo), float(hi), int(count))
-    except (ValueError, IndexError) as exc:
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError as exc:
         raise ConfigError(f"bad bins {spec!r}; expected lo:hi:count") from exc
+    return LogBins(lo, hi, count)
 
 
 def parse_thresholds(spec: str) -> tuple[float, ...]:

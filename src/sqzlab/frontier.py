@@ -12,6 +12,11 @@ Everything here is deterministic: identical inputs produce identical
 outputs, including tie-breaking (smaller uncertainty first, then smaller
 alpha_sq, then input order).
 
+A frontier ranks a sweep's ok points once, with one stable np.lexsort by
+bin, then best first; each threshold keeps the rows with U within it and
+each bin's first row. Logarithms are math.log10 per value: np.log10 can
+differ in the last ulp and move a point across a bin edge.
+
 Per-method facts live in one table, METHODS: the parameter names a method
 accepts (also its frontier CSV parameter columns), the axes a grid must
 have, its default grid axes and the runner that turns a grid into sweep
@@ -24,6 +29,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,8 +40,7 @@ from .core import (
     MethodPoint,
     Regime,
     SqueezedAxis,
-    squeeze_metrics,
-    uncertainty,
+    squeeze_columns,
 )
 
 
@@ -145,8 +150,8 @@ class LogBins:
     count: int = 200
 
     def __post_init__(self) -> None:
-        if self.lo <= 0.0 or not self.lo < self.hi or self.count < 1:
-            raise ConfigError("bins need 0 < lo < hi and count >= 1")
+        if not 0.0 < self.lo < self.hi < math.inf or self.count < 1:
+            raise ConfigError("bins need 0 < lo < hi < inf and count >= 1")
 
     def edges(self) -> np.ndarray:
         return np.logspace(math.log10(self.lo), math.log10(self.hi), self.count + 1)
@@ -155,14 +160,19 @@ class LogBins:
         e = self.edges()
         return np.sqrt(e[:-1] * e[1:])
 
+    def indices(self, alpha_sq: np.ndarray) -> np.ndarray:
+        """Bin index per value, -1 where it falls outside [lo, hi]."""
+        inside = (alpha_sq >= self.lo) & (alpha_sq <= self.hi)
+        logs = np.fromiter(map(math.log10, alpha_sq[inside]), float, inside.sum())
+        t = (logs - math.log10(self.lo)) / (math.log10(self.hi) - math.log10(self.lo))
+        out = np.full(alpha_sq.shape, -1, dtype=np.intp)
+        out[inside] = np.minimum((t * self.count).astype(np.intp), self.count - 1)
+        return out
+
     def index(self, alpha_sq: float) -> int | None:
         """Bin index for a value, or None when it falls outside [lo, hi]."""
-        if not self.lo <= alpha_sq <= self.hi:
-            return None
-        t = (math.log10(alpha_sq) - math.log10(self.lo)) / (
-            math.log10(self.hi) - math.log10(self.lo)
-        )
-        return min(int(t * self.count), self.count - 1)
+        i = int(self.indices(np.array([alpha_sq], dtype=float))[0])
+        return None if i < 0 else i
 
 
 def _grid_rows(axes: Sequence[Axis]) -> list[dict[str, float]]:
@@ -348,6 +358,27 @@ def ok_points(records: Iterable[SweepRecord]) -> list[MethodPoint]:
     return [r.point for r in records if r.status == "ok" and r.point is not None]
 
 
+class _Ranked(list):
+    """The ok points of one sweep, ranked once for every threshold."""
+
+    def __init__(self, points: Iterable[MethodPoint], bins: LogBins) -> None:
+        super().__init__(points)
+        self.bins = bins
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(input row, squeeze_db, U, bin) of in-range points, by bin, then best."""
+        alpha_sq = np.fromiter(map(attrgetter("alpha_sq"), self), float, len(self))
+        b = self.bins.indices(alpha_sq)
+        rows = np.flatnonzero(b >= 0)
+        stats = [self[i].stats for i in rows.tolist()]
+        var_x = np.fromiter(map(attrgetter("var_x"), stats), float, len(stats))
+        var_p = np.fromiter(map(attrgetter("var_p"), stats), float, len(stats))
+        db, u = squeeze_columns(var_x, var_p)
+        rank = np.lexsort((alpha_sq[rows], u, -db, b[rows]))  # stable: ties keep order
+        return rows[rank], db[rank], u[rank], b[rows[rank]]
+
+
 def frontier(
     points: Iterable[MethodPoint],
     threshold: float,
@@ -356,39 +387,15 @@ def frontier(
     """Best squeeze factor per alpha_sq bin under an uncertainty ceiling."""
     if not threshold >= 1.0:
         raise ConfigError(f"threshold must be >= 1, got {threshold!r}")
-    best: dict[int, tuple[float, float, int, MethodPoint]] = {}
-    for order, pt in enumerate(points):
-        u = uncertainty(pt.stats)
-        if u > threshold + 1e-12:
-            continue
-        i = bins.index(pt.alpha_sq)
-        if i is None:
-            continue
-        db = squeeze_metrics(pt.stats).squeeze_db
-        # rank: higher squeeze first, then lower uncertainty, lower alpha_sq,
-        # then first-seen
-        cand = (db, u, order, pt)
-        cur = best.get(i)
-        if cur is None:
-            best[i] = cand
-            continue
-        better = (-cand[0], cand[1], cand[3].alpha_sq, cand[2]) < (
-            -cur[0],
-            cur[1],
-            cur[3].alpha_sq,
-            cur[2],
-        )
-        if better:
-            best[i] = cand
-    centers = bins.centers()
+    reuse = isinstance(points, _Ranked) and points.bins == bins
+    ranked = points if reuse else _Ranked(points, bins)
+    rows, db, u, b = ranked.columns
+    keep = np.flatnonzero(u <= threshold + 1e-12)
+    best = keep[np.diff(b[keep], prepend=-1) != 0]  # first kept row of each bin
+    centers = bins.centers().tolist()
     pts = tuple(
-        FrontierPoint(
-            alpha_sq=float(centers[i]),
-            squeeze_db=best[i][0],
-            uncertainty=best[i][1],
-            params=dict(best[i][3].params),
-        )
-        for i in sorted(best)
+        FrontierPoint(centers[i], d, v, dict(ranked[r].params))
+        for r, d, v, i in zip(*(col[best].tolist() for col in (rows, db, u, b)))
     )
     return FrontierCurve(threshold=threshold, points=pts)
 
@@ -399,11 +406,14 @@ def frontier_suite(
     grid: SweepGrid,
     bins: LogBins = LogBins(),
 ) -> list[FrontierCurve]:
-    """One sweep shared across a list of uncertainty thresholds."""
+    """One sweep, ranked once, shared across a list of uncertainty thresholds."""
     if grid.method is not method:
         raise ConfigError("grid method does not match the requested method")
-    pts = ok_points(sweep(grid))
-    return [frontier(pts, thr, bins) for thr in thresholds]
+    bad = [thr for thr in thresholds if not thr >= 1.0]
+    if bad:
+        raise ConfigError(f"threshold must be >= 1, got {bad[0]!r}")
+    ranked = _Ranked(ok_points(sweep(grid)), bins)
+    return [frontier(ranked, thr, bins) for thr in thresholds]
 
 
 DEFAULT_THRESHOLDS = (1.001, 1.01, 1.1, 2.0, 10.0)

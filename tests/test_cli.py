@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -369,3 +370,26 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "alpha_sq = 0.198529411765" in proc.stdout
+
+
+def test_bad_threshold_exits_2_before_sweeping(capsys, monkeypatch):
+    def no_sweep(grid):
+        raise AssertionError("sweep ran for a rejected threshold")
+
+    monkeypatch.setattr(importlib.import_module("sqzlab.frontier"), "sweep", no_sweep)
+    code, _, err = run(
+        capsys, "frontier", "--method", "opo_phase", "--thresholds", "0.5", "--out", "-"
+    )
+    assert code == 2
+    assert "threshold must be >= 1" in err
+    assert "Traceback" not in err
+
+
+def test_infinite_bin_edge_exits_2():
+    proc = cli_subprocess(
+        "frontier", "--method", "bs", "--bins", "1e-6:inf:5", "--thresholds", "2",
+        "--axis", "b=0:1:3", "--axis", "theta=0.1:1:3", "--out", "-",
+    )
+    assert proc.returncode == 2
+    assert "bins need" in proc.stderr
+    assert "Traceback" not in proc.stderr

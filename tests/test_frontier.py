@@ -1,13 +1,23 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from sqzlab.core import MethodPoint, QuadratureStats, Regime
+from sqzlab.core import (
+    MethodPoint,
+    QuadratureStats,
+    Regime,
+    squeeze_columns,
+    squeeze_metrics,
+    uncertainty,
+)
 from sqzlab.frontier import (
     METHODS,
     Axis,
     ConfigError,
+    FrontierCurve,
+    FrontierPoint,
     LogBins,
     Method,
     Spacing,
@@ -19,6 +29,9 @@ from sqzlab.frontier import (
     sweep,
 )
 from sqzlab.opa import OpaParams, opa_evaluate
+
+# the package exports the function `frontier` under the module's name
+frontier_module = importlib.import_module("sqzlab.frontier")
 
 
 def bs_grid(nb=10, nt=10, b_hi=3.0):
@@ -352,3 +365,178 @@ def test_determinism_repeated_runs():
     a = frontier_suite(Method.BEAM_SPLITTER, (1.5,), grid)
     b = frontier_suite(Method.BEAM_SPLITTER, (1.5,), grid)
     assert a == b
+
+
+def _reference_index(bins, alpha_sq):
+    """The scalar bin index the columnar one replaced."""
+    if not bins.lo <= alpha_sq <= bins.hi:
+        return None
+    t = (math.log10(alpha_sq) - math.log10(bins.lo)) / (
+        math.log10(bins.hi) - math.log10(bins.lo)
+    )
+    return min(int(t * bins.count), bins.count - 1)
+
+
+def _reference_frontier(points, threshold, bins):
+    """The per-point tuple-compare reduction the columnar one replaced."""
+    best = {}
+    for order, pt in enumerate(points):
+        u = uncertainty(pt.stats)
+        if u > threshold + 1e-12:
+            continue
+        i = _reference_index(bins, pt.alpha_sq)
+        if i is None:
+            continue
+        db = squeeze_metrics(pt.stats).squeeze_db
+        # rank: higher squeeze first, then lower uncertainty, lower alpha_sq,
+        # then first-seen
+        cand = (db, u, order, pt)
+        cur = best.get(i)
+        if cur is None or (-db, u, pt.alpha_sq, order) < (
+            -cur[0], cur[1], cur[3].alpha_sq, cur[2]
+        ):
+            best[i] = cand
+    centers = bins.centers()
+    return FrontierCurve(
+        threshold=threshold,
+        points=tuple(
+            FrontierPoint(
+                float(centers[i]), best[i][0], best[i][1], dict(best[i][3].params)
+            )
+            for i in sorted(best)
+        ),
+    )
+
+
+def _point(alpha_sq, var_x, var_p, tag):
+    return MethodPoint(alpha_sq, QuadratureStats(var_x, var_p), {"tag": tag})
+
+
+REFERENCE_THRESHOLDS = (1.0, 1.001, 2.0, math.inf)
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_columnar_frontier_matches_scalar_reference(method):
+    axes = tuple(
+        Axis(ax.name, ax.lo, ax.hi, 17, ax.spacing) for ax in METHODS[method].axes
+    )
+    grid = SweepGrid(method=method, axes=axes)
+    pts = ok_points(sweep(grid))
+    for bins in (LogBins(), LogBins(1e-4, 0.5, 23)):
+        curves = frontier_suite(method, REFERENCE_THRESHOLDS, grid, bins)
+        expected = [_reference_frontier(pts, thr, bins) for thr in REFERENCE_THRESHOLDS]
+        assert curves == expected
+        assert any(c.points for c in curves)
+
+
+def test_columnar_frontier_tie_break_order():
+    # in one bin: higher squeeze, then lower uncertainty, then lower
+    # alpha_sq, then the first seen
+    bins = LogBins(1e-2, 1.0, 2)
+    cases = [
+        [_point(0.05, 0.5, 2.0, "less-db"), _point(0.07, 0.25, 8.0, "win")],
+        [_point(0.05, 0.5, 2.5, "more-u"), _point(0.06, 0.5, 2.0, "win")],
+        [_point(0.06, 0.5, 2.0, "more-alpha"), _point(0.05, 0.5, 2.0, "win")],
+    ]
+    for pts in cases:
+        for order in (pts, pts[::-1]):
+            curve = frontier(order, 10.0, bins)
+            assert curve == _reference_frontier(order, 10.0, bins)
+            assert curve.points[0].params["tag"] == "win"
+    pts = [
+        _point(0.05, 0.5, 3.0, "worse"),
+        _point(0.05, 0.5, 2.0, "first"),
+        _point(0.05, 0.5, 2.0, "second"),
+        _point(0.5, 0.5, 2.0, "other-bin"),
+        _point(0.05, 0.5, 2.0, "third"),
+    ]
+    for order, first in ((pts, "first"), (pts[::-1], "third")):
+        curve = frontier(order, 10.0, bins)
+        assert curve == _reference_frontier(order, 10.0, bins)
+        assert [p.params["tag"] for p in curve.points] == [first, "other-bin"]
+
+
+def test_columnar_frontier_bin_edges_and_range():
+    bins = LogBins(1e-4, 1.0, 4)  # edges 1e-4, 1e-3, 1e-2, 1e-1, 1
+    cases = {1e-4: 0, 1e-2: 2, 1.0: 3, 5e-5: None, 2.0: None, 0.0: None}
+    for alpha_sq, expected in cases.items():
+        assert bins.index(alpha_sq) == _reference_index(bins, alpha_sq) == expected
+    pts = [_point(a, 0.5, 2.0, repr(a)) for a in cases]
+    curve = frontier(pts, 2.0, bins)
+    assert curve == _reference_frontier(pts, 2.0, bins)
+    assert [p.params["tag"] for p in curve.points] == ["0.0001", "0.01", "1.0"]
+
+
+def test_columnar_frontier_keeps_uncertainty_at_the_tolerance():
+    threshold = 2.0
+    at = threshold + 1e-12
+    bins = LogBins(1e-2, 1.0, 2)
+    kept = _point(0.05, at / 4, 4 * at, "at")
+    above = math.nextafter(at, math.inf)
+    dropped = _point(0.5, above / 4, 4 * above, "above")
+    assert uncertainty(kept.stats) == at
+    assert uncertainty(dropped.stats) > at
+    curve = frontier([kept, dropped], threshold, bins)
+    assert curve == _reference_frontier([kept, dropped], threshold, bins)
+    assert [p.params["tag"] for p in curve.points] == ["at"]
+
+
+def test_columnar_frontier_empty_input():
+    assert frontier([], 2.0).points == ()
+    assert frontier(iter(()), 1.0).points == ()
+
+
+def test_bin_index_uses_math_log10_not_numpy():
+    # np.log10 and math.log10 can differ in the last ulp, which moves values
+    # within a few ulps of a bin edge into the neighbouring bin
+    bins = LogBins()
+    lo, span = math.log10(bins.lo), math.log10(bins.hi) - math.log10(bins.lo)
+    edges = bins.edges()
+    near = np.concatenate([edges + k * np.spacing(edges) for k in range(-40, 41)])
+    near = near[(near >= bins.lo) & (near <= bins.hi)]
+    numpy_index = np.minimum(
+        ((np.log10(near) - lo) / span * bins.count).astype(int), bins.count - 1
+    )
+    moved = [
+        _point(float(a), 0.5, 2.0, i)
+        for i, (a, k) in enumerate(zip(near, numpy_index))
+        if k != _reference_index(bins, float(a))
+    ]
+    assert moved
+    for p in moved:
+        assert bins.index(p.alpha_sq) == _reference_index(bins, p.alpha_sq)
+    assert frontier(moved, 2.0, bins) == _reference_frontier(moved, 2.0, bins)
+
+
+@pytest.mark.parametrize(
+    "method", [Method.BEAM_SPLITTER, Method.OPO_PHASE], ids=lambda m: m.value
+)
+def test_column_forms_match_scalar_metrics_bitwise(method):
+    stats = [p.stats for p in ok_points(sweep(default_grid(method)))]
+    var_x = np.array([s.var_x for s in stats])
+    var_p = np.array([s.var_p for s in stats])
+    db, u = squeeze_columns(var_x, var_p)
+    scalar_db = np.array([squeeze_metrics(s).squeeze_db for s in stats])
+    assert db.tobytes() == scalar_db.tobytes()
+    assert u.tobytes() == np.array([uncertainty(s) for s in stats]).tobytes()
+
+
+def test_frontier_suite_rejects_bad_threshold_before_sweeping(monkeypatch):
+    def no_sweep(grid):
+        raise AssertionError("sweep ran for a rejected threshold")
+
+    monkeypatch.setattr(frontier_module, "sweep", no_sweep)
+    grid = default_grid(Method.OPO_PHASE)
+    with pytest.raises(ConfigError, match="threshold must be >= 1"):
+        frontier_suite(Method.OPO_PHASE, (2.0, 0.5), grid)
+    with pytest.raises(ConfigError, match="threshold must be >= 1"):
+        frontier_suite(Method.OPO_PHASE, (math.nan,), grid)
+
+
+def test_bins_reject_infinite_edges():
+    with pytest.raises(ConfigError, match="bins need"):
+        LogBins(1e-6, math.inf, 5)
+    with pytest.raises(ConfigError, match="bins need"):
+        LogBins(math.inf, math.inf, 5)
+    with pytest.raises(ConfigError, match="bins need"):
+        LogBins(1e-6, math.nan, 5)
