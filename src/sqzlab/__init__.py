@@ -30,6 +30,7 @@ from .frontier import (
     Spacing,
     SweepGrid,
     SweepRecord,
+    SweepTable,
     default_grid,
     frontier,
     frontier_suite,
@@ -83,6 +84,7 @@ __all__ = [
     "SqueezeMetrics",
     "SweepGrid",
     "SweepRecord",
+    "SweepTable",
     "amplitude_cutoff_index",
     "bs_evaluate",
     "bs_uncertainty",

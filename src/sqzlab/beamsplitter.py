@@ -10,6 +10,9 @@ amplitude drops out of both the variances and the displacement ratio:
 b is the input squeeze parameter (b > 0 squeezes amplitude) and theta the
 mixing angle. Squeezing degrades linearly in alpha_sq while the overall
 uncertainty grows as sqrt(1 + 4 alpha_sq (1 - alpha_sq) sinh^2 b).
+
+`bs_evaluate` (one point) and `bs_columns` (a sweep's columns) share one
+formula; exp, cos and sin are libm's in both.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, MethodPoint, QuadratureStats
+import numpy as np
+
+from .core import DomainError, MethodPoint, QuadratureStats, Skips, mapped
 
 HALF_PI = math.pi / 2.0
+_B_FINITE = "b must be finite, got {!r}"
+_THETA_RANGE = "theta must lie in [0, pi/2], got {!r}"
 
 
 @dataclass(frozen=True)
@@ -31,22 +38,38 @@ class BsParams:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.b):
-            raise DomainError(f"b must be finite, got {self.b!r}")
+            raise DomainError(_B_FINITE.format(self.b))
         if not 0.0 <= self.theta <= HALF_PI:
-            raise DomainError(f"theta must lie in [0, pi/2], got {self.theta!r}")
+            raise DomainError(_THETA_RANGE.format(self.theta))
+
+
+def _outputs(e_minus, e_plus, cos, sin):
+    """(alpha_sq, var_x, var_p) from e^{-2b}, e^{2b}, cos(theta), sin(theta)."""
+    c2, s2 = cos * cos, sin * sin
+    return s2, e_minus * c2 + s2, e_plus * c2 + s2
 
 
 def bs_evaluate(params: BsParams) -> MethodPoint:
     """Output displacement ratio and quadrature variances for one setting."""
-    c2 = math.cos(params.theta) ** 2
-    s2 = math.sin(params.theta) ** 2
-    stats = QuadratureStats(
-        var_x=math.exp(-2.0 * params.b) * c2 + s2,
-        var_p=math.exp(2.0 * params.b) * c2 + s2,
+    b, theta = params.b, params.theta
+    alpha_sq, var_x, var_p = _outputs(
+        math.exp(-2.0 * b), math.exp(2.0 * b), math.cos(theta), math.sin(theta)
     )
-    return MethodPoint(
-        alpha_sq=s2, stats=stats, params={"b": params.b, "theta": params.theta}
-    )
+    stats = QuadratureStats(var_x, var_p)
+    return MethodPoint(alpha_sq, stats, {"b": b, "theta": theta})
+
+
+def bs_columns(b: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """bs_evaluate over columns: (alpha_sq, var_x, var_p, ok, reason)."""
+    skips = Skips(len(b))
+    with np.errstate(invalid="ignore"):
+        skips.check(abs(b) < math.inf, _B_FINITE.format, b)
+        skips.check((theta >= 0.0) & (theta <= HALF_PI), _THETA_RANGE.format, theta)
+    b, theta = (np.where(skips.ok, c, 0.0) for c in (b, theta))  # math.cos(inf) raises
+    return skips.outputs(*_outputs(
+        mapped(math.exp, -2.0 * b), mapped(math.exp, 2.0 * b),
+        mapped(math.cos, theta), mapped(math.sin, theta),
+    ))
 
 
 def bs_uncertainty(params: BsParams) -> float:

@@ -25,11 +25,16 @@ import json
 import math
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .beamsplitter import BsParams, bs_evaluate, bs_uncertainty
-from .core import DomainError, MethodPoint, QuadratureStats, Regime, SqueezedAxis, squeeze_metrics, uncertainty
+from .core import (
+    DomainError, MethodPoint, QuadratureStats, Regime, SqueezedAxis, squeeze_columns,
+    squeeze_metrics, uncertainty,
+)
 from .frontier import (
     Axis,
     ConfigError,
@@ -38,7 +43,7 @@ from .frontier import (
     Method,
     Spacing,
     SweepGrid,
-    SweepRecord,
+    SweepTable,
     DEFAULT_THRESHOLDS,
     METHODS,
     default_grid,
@@ -174,11 +179,15 @@ def _metadata_lines(config: dict[str, object]) -> list[str]:
     return [f"{k} = {config[k]}" for k in sorted(config)]
 
 
-def sweep_csv(
-    method: Method, axes: Sequence[Axis], records: Iterable[SweepRecord],
-    config: dict[str, object],
-) -> str:
-    names = [ax.name for ax in axes]
+def _numbers(table: SweepTable) -> list[list[float]]:
+    """alpha_sq, var_x, var_p, squeeze_db and uncertainty per row, as
+    squeeze_metrics gives them; NaN in a skipped row."""
+    db, u = squeeze_columns(table.var_x, table.var_p)
+    return [c.tolist() for c in (table.alpha_sq, table.var_x, table.var_p, db, u)]
+
+
+def sweep_csv(method: Method, records: SweepTable, config: dict[str, object]) -> str:
+    names = list(records.values)
     lines = [f"# {line}" for line in _metadata_lines(config)]
     lines.append(
         ",".join(
@@ -186,45 +195,34 @@ def sweep_csv(
              "uncertainty", "status", "skip_reason"]
         )
     )
-    for rec in records:
-        row = [method.value] + [_fnum(rec.values[n]) for n in names]
-        if rec.point is None:
-            row += ["", "", "", "", "", rec.status, rec.skip_reason]
-        else:
-            m = squeeze_metrics(rec.point.stats)
-            row += [
-                _fnum(rec.point.alpha_sq),
-                _fnum(rec.point.stats.var_x),
-                _fnum(rec.point.stats.var_p),
-                _fnum(m.squeeze_db),
-                _fnum(m.uncertainty),
-                rec.status,
-                rec.skip_reason,
-            ]
-        lines.append(",".join(row))
+    ok = records.ok.tolist()
+    columns = [
+        [method.value] * len(ok),
+        *(map(_fnum, records.values[n].tolist()) for n in names),
+        *([_fnum(v) if k else "" for v, k in zip(col, ok)] for col in _numbers(records)),
+        ["ok" if k else "skipped" for k in ok],
+        records.reason.tolist(),
+    ]
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
-def sweep_json(
-    method: Method, records: Iterable[SweepRecord], config: dict[str, object]
-) -> str:
+def sweep_json(method: Method, records: SweepTable, config: dict[str, object]) -> str:
+    names = list(records.values)
+    rows = zip(records.ok.tolist(), *(records.values[n].tolist() for n in names))
     points = []
-    for rec in records:
+    for i, ((ok, *row), numbers) in enumerate(zip(rows, zip(*_numbers(records)))):
         entry: dict[str, object] = {
             "method": method.value,
-            "values": rec.values,
-            "status": rec.status,
-            "skip_reason": rec.skip_reason,
+            "values": dict(zip(names, row)),
+            "status": "ok" if ok else "skipped",
+            "skip_reason": records.reason[i],
         }
-        if rec.point is not None:
-            m = squeeze_metrics(rec.point.stats)
+        if ok:
+            alpha_sq, var_x, var_p, db, u = numbers
             entry.update(
-                alpha_sq=rec.point.alpha_sq,
-                var_x=rec.point.stats.var_x,
-                var_p=rec.point.stats.var_p,
-                squeeze_db=m.squeeze_db,
-                uncertainty=m.uncertainty,
-                params=dict(rec.point.params),
+                alpha_sq=alpha_sq, var_x=var_x, var_p=var_p, squeeze_db=db,
+                uncertainty=u, params=records.point_params(i),
             )
         points.append(entry)
     doc = {"config": {k: str(v) for k, v in sorted(config.items())}, "points": points}
@@ -395,7 +393,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if conf["format"] == "json":
         _write(args.out, sweep_json(method, records, echo))
     elif conf["format"] == "csv":
-        _write(args.out, sweep_csv(method, grid.axes, records, echo))
+        _write(args.out, sweep_csv(method, records, echo))
     else:
         raise ConfigError(f"sweep cannot emit format {conf['format']!r}")
     return EXIT_OK

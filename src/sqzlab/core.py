@@ -10,17 +10,28 @@ Conventions used throughout the package:
 * The overall uncertainty is the product of the standard deviations,
   sqrt(var_x * var_p); it equals 1 for pure minimum-uncertainty states.
 
-All functions here are pure and safe to call concurrently.
+All functions here are pure and safe to call concurrently. Column
+evaluators (the array forms of the evaluators, which sweeps use) record a
+skipped row in a Skips object with the message the scalar evaluator
+raises; MAX_GRID_POINTS bounds the rows of one sweep or time grid.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
+
+# The most rows one sweep grid or trajectory time grid may have; all of a
+# grid's columns are allocated at once.
+MAX_GRID_POINTS = 2_000_000
+
+_FINITE_POSITIVE = "{} must be finite and positive, got {!r}"
+_ALPHA_SQ = "alpha_sq must be finite and >= 0, got {!r}"
 
 
 class DomainError(ValueError):
@@ -45,7 +56,7 @@ class Regime(enum.Enum):
 
 def _require_finite_positive(name: str, value: float) -> None:
     if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        raise DomainError(_FINITE_POSITIVE.format(name, value))
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,7 @@ class MethodPoint:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha_sq) or self.alpha_sq < 0.0:
-            raise DomainError(f"alpha_sq must be finite and >= 0, got {self.alpha_sq!r}")
+            raise DomainError(_ALPHA_SQ.format(self.alpha_sq))
 
     @property
     def uncertainty(self) -> float:
@@ -101,10 +112,55 @@ def uncertainty(stats: QuadratureStats) -> float:
     return math.sqrt(stats.var_x * stats.var_p)
 
 
+def mapped(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    """fn, a math function, value by value: numpy's exp, cbrt, log10 and
+    power can differ from libm in the last ulp."""
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+class Skips:
+    """Skip reasons of a column evaluation, one per row, "" while it is ok.
+
+    Each check skips the rows still ok where it fails, with the message the
+    scalar evaluator raises; checks run in the scalar order, so a row keeps
+    the reason of the first check it fails.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.ok = np.ones(n, dtype=bool)
+        self.reason = np.full(n, "", dtype=object)
+
+    def check(
+        self, valid: np.ndarray, message: Callable[..., str], *columns: np.ndarray
+    ) -> None:
+        """Skip the ok rows where valid is False; message gets their values."""
+        bad = np.flatnonzero(self.ok & ~valid)
+        if bad.size:
+            rows = zip(*(c[bad].tolist() for c in columns))
+            self.reason[bad] = [message(*row) for row in rows]
+            self.ok[bad] = False
+
+    def outputs(self, alpha_sq, var_x, var_p) -> tuple[np.ndarray, ...]:
+        """The QuadratureStats and MethodPoint checks, then the table columns
+        (alpha_sq, var_x, var_p, ok, reason), NaN where a row is skipped."""
+        with np.errstate(invalid="ignore"):
+            for name, v in (("var_x", var_x), ("var_p", var_p)):
+                self.check(
+                    (abs(v) < math.inf) & (v > 0.0),
+                    functools.partial(_FINITE_POSITIVE.format, name), v,
+                )
+            finite = abs(alpha_sq) < math.inf
+            self.check(finite & (alpha_sq >= 0.0), _ALPHA_SQ.format, alpha_sq)
+        return (
+            *(np.where(self.ok, c, math.nan) for c in (alpha_sq, var_x, var_p)),
+            self.ok, self.reason,
+        )
+
+
 def squeeze_columns(var_x: np.ndarray, var_p: np.ndarray) -> tuple[np.ndarray, ...]:
     """(squeeze_db, uncertainty) over arrays, equal to squeeze_metrics bit for bit."""
     lo = np.minimum(var_x, var_p)  # math.log10: np.log10 can differ by an ulp
-    db = -10.0 * np.fromiter(map(math.log10, lo), float, len(lo))
+    db = -10.0 * mapped(math.log10, lo)
     return db, np.sqrt(var_x * var_p)
 
 

@@ -12,15 +12,23 @@ Everything here is deterministic: identical inputs produce identical
 outputs, including tie-breaking (smaller uncertainty first, then smaller
 alpha_sq, then input order).
 
-A frontier ranks a sweep's ok points once, with one stable np.lexsort by
+A sweep's result is one SweepTable of columns: the axis values per row,
+alpha_sq, var_x, var_p, an ok mask and a skip reason per row. The bs, OPO
+and om runners evaluate the whole grid with one call of the method's
+column form, which shares its formulas and skip messages with the scalar
+evaluator; the OPA runner evaluates every seed at every tau at once. A
+table reads as a sequence of SweepRecord views, built on access.
+
+A frontier ranks a sweep's ok rows once, with one stable np.lexsort by
 bin, then best first; each threshold keeps the rows with U within it and
-each bin's first row. Logarithms are math.log10 per value: np.log10 can
-differ in the last ulp and move a point across a bin edge.
+each bin's first row, and builds a params record only for those.
+Logarithms are math.log10 per value: np.log10 can differ in the last ulp
+and move a point across a bin edge.
 
 Per-method facts live in one table, METHODS: the parameter names a method
 accepts (also its frontier CSV parameter columns), the axes a grid must
-have, its default grid axes and the runner that turns a grid into sweep
-records.
+have, its default grid axes and the runner that turns a grid into a
+SweepTable. A grid may have at most MAX_GRID_POINTS rows.
 """
 
 from __future__ import annotations
@@ -28,18 +36,22 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import beamsplitter, opa, opo, optomech
 from .core import (
-    DomainError,
+    MAX_GRID_POINTS,
     MethodPoint,
+    QuadratureStats,
     Regime,
+    Skips,
     SqueezedAxis,
+    mapped,
     squeeze_columns,
 )
 
@@ -115,6 +127,11 @@ class SweepGrid:
                 raise ConfigError(f"unknown constraint {key!r}")
             if math.isnan(value):
                 raise ConfigError("seed_input_cap must be a number, got nan")
+        points = math.prod(ax.count for ax in self.axes)
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid has {points} points; the limit is {MAX_GRID_POINTS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,6 +142,48 @@ class SweepRecord:
     point: MethodPoint | None
     status: str  # "ok" or "skipped"
     skip_reason: str = ""
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable(Sequence):
+    """A sweep's result as columns, one row per grid point in row-major order.
+
+    A skipped row has ok False, its reason and NaN outputs. Indexing gives
+    a SweepRecord view of a row, built on access.
+    """
+
+    values: dict[str, np.ndarray]  # axis columns, in grid axis order
+    alpha_sq: np.ndarray
+    var_x: np.ndarray
+    var_p: np.ndarray
+    ok: np.ndarray
+    reason: np.ndarray  # skip reason per row, "" where ok
+    params: tuple[str, ...]  # point params; one without an axis is 0.0
+    tags: dict[str, str]  # point params of fixed value, e.g. the regime
+
+    def __len__(self) -> int:
+        return len(self.ok)
+
+    @functools.cached_property
+    def _lists(self) -> dict[str, list[float]]:
+        """The axis columns as lists; their items read faster than numpy's."""
+        return {name: col.tolist() for name, col in self.values.items()}
+
+    def point_params(self, i: int) -> dict[str, object]:
+        """The params record of row i's point."""
+        cols = self._lists
+        return {n: cols[n][i] if n in cols else 0.0 for n in self.params} | self.tags
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        values = {name: col[i] for name, col in self._lists.items()}
+        if not self.ok[i]:
+            return SweepRecord(values, None, "skipped", self.reason[i])
+        stats = QuadratureStats(float(self.var_x[i]), float(self.var_p[i]))
+        point = MethodPoint(float(self.alpha_sq[i]), stats, self.point_params(i))
+        return SweepRecord(values, point, "ok")
 
 
 @dataclass(frozen=True)
@@ -163,7 +222,7 @@ class LogBins:
     def indices(self, alpha_sq: np.ndarray) -> np.ndarray:
         """Bin index per value, -1 where it falls outside [lo, hi]."""
         inside = (alpha_sq >= self.lo) & (alpha_sq <= self.hi)
-        logs = np.fromiter(map(math.log10, alpha_sq[inside]), float, inside.sum())
+        logs = mapped(math.log10, alpha_sq[inside])
         t = (logs - math.log10(self.lo)) / (math.log10(self.hi) - math.log10(self.lo))
         out = np.full(alpha_sq.shape, -1, dtype=np.intp)
         out[inside] = np.minimum((t * self.count).astype(np.intp), self.count - 1)
@@ -175,123 +234,72 @@ class LogBins:
         return None if i < 0 else i
 
 
-def _grid_rows(axes: Sequence[Axis]) -> list[dict[str, float]]:
-    rows: list[dict[str, float]] = [{}]
-    for ax in axes:
-        rows = [dict(r, **{ax.name: float(v)}) for r in rows for v in ax.values()]
-    return rows
+def _grid_columns(axes: Sequence[Axis]) -> dict[str, np.ndarray]:
+    """Each axis's value per row, in row-major grid order."""
+    mesh = np.meshgrid(*(ax.values() for ax in axes), indexing="ij")
+    return {ax.name: m.ravel() for ax, m in zip(axes, mesh)}
 
 
-def _record(
-    evaluate: Callable[[dict[str, float]], MethodPoint], row: dict[str, float]
-) -> SweepRecord:
-    try:
-        point = evaluate(row)
-    except DomainError as exc:
-        return SweepRecord(values=row, point=None, status="skipped", skip_reason=str(exc))
-    return SweepRecord(values=row, point=point, status="ok")
+def _kernel(
+    evaluate: Callable[..., tuple], **fixed: enum.Enum
+) -> Callable[[SweepGrid], SweepTable]:
+    """Runner that evaluates a grid's parameter columns, then the fixed
+    arguments (also the points' tags, by value), in one call."""
+    tags = {key: value.value for key, value in fixed.items()}
+
+    def run(grid: SweepGrid) -> SweepTable:
+        values = _grid_columns(grid.axes)
+        zeros = np.zeros(math.prod(ax.count for ax in grid.axes))
+        params = METHODS[grid.method].params
+        cols = (values.get(name, zeros) for name in params)
+        return SweepTable(values, *evaluate(*cols, *fixed.values()), params, tags)
+
+    return run
 
 
-def _pointwise(
-    evaluate: Callable[[dict[str, float]], MethodPoint],
-) -> Callable[[SweepGrid], list[SweepRecord]]:
-    """Runner that evaluates each grid row on its own, in grid order."""
-    return lambda grid: [_record(evaluate, row) for row in _grid_rows(grid.axes)]
-
-
-def _sweep_opa(regime: Regime, grid: SweepGrid) -> list[SweepRecord]:
-    """One closed-form evaluation of every live seed at every requested tau."""
+def _sweep_opa(regime: Regime, grid: SweepGrid) -> SweepTable:
+    """One closed-form evaluation of every seed at every requested tau."""
     axes = {ax.name: ax for ax in grid.axes}
     taus = axes["tau"].values()
     if taus[0] < 0.0:
         raise ConfigError("tau axis must be non-negative")
+    by_tau = grid.axes[0].name == "tau"  # then tau is the outer axis of the rows
+    outputs = opa.seed_outputs(axes["seed_ratio"].values(), regime, taus)
+    alpha_sq, var_x, var_p = ((c.T if by_tau else c).ravel() for c in outputs)
+    values = _grid_columns(grid.axes)
+    seed, tau = values["seed_ratio"], values["tau"]
+    skips = Skips(len(seed))
     cap = grid.constraints.get("seed_input_cap")
-    seeds = axes["seed_ratio"].values()
-    live = seeds if cap is None else seeds[seeds <= cap]
-    a_s, _, cov_x, cov_p = opa.evolve(live, regime, taus)
-    seed_index = {float(s): j for j, s in enumerate(live)}
-    tau_index = {float(t): k for k, t in enumerate(taus)}
-
-    def evaluate(row: dict[str, float]) -> MethodPoint:
-        seed, tau = row["seed_ratio"], row["tau"]
-        if seed < 0.0:
-            raise DomainError(f"seed_ratio must be >= 0, got {seed!r}")
-        j, k = seed_index[seed], tau_index[tau]
-        return opa.output_point(
-            seed, regime, tau, a_s[j, k], cov_x[j, k, 0, 0], cov_p[j, k, 0, 0]
-        )
-
-    records: list[SweepRecord] = []
-    for row in _grid_rows(grid.axes):
-        seed = row["seed_ratio"]
-        if seed in seed_index:
-            records.append(_record(evaluate, row))
-        else:
-            records.append(
-                SweepRecord(
-                    values=row,
-                    point=None,
-                    status="skipped",
-                    skip_reason=f"seed_ratio {seed:g} exceeds seed input cap {cap:g}",
-                )
-            )
-    return records
-
-
-def _apply_opo_amplitude_cutoff(
-    grid: SweepGrid, records: list[SweepRecord]
-) -> list[SweepRecord]:
-    """Mark points past the alpha_sq turnaround of each seed scan."""
-    seed_axis = next((ax for ax in grid.axes if ax.name == "seed_ratio"), None)
-    if seed_axis is None:
-        return records
-    groups: dict[tuple, list[int]] = {}
-    for i, rec in enumerate(records):
-        key = tuple(
-            (k, v) for k, v in sorted(rec.values.items()) if k != "seed_ratio"
-        )
-        groups.setdefault(key, []).append(i)
-    out = list(records)
-    for idxs in groups.values():
-        # points skipped already keep their reason; the cutoff runs over the rest
-        live = sorted(
-            (i for i in idxs if records[i].point is not None),
-            key=lambda i: records[i].values["seed_ratio"],
-        )
-        cut = opo.amplitude_cutoff_index([records[i].point.alpha_sq for i in live])
-        if cut is None:
-            continue
-        for i in live[cut:]:
-            out[i] = SweepRecord(
-                values=records[i].values,
-                point=None,
-                status="skipped",
-                skip_reason="nonmonotonic alpha_sq vs seed_ratio (past cutoff)",
-            )
-    return out
-
-
-def _bs_point(row: dict[str, float]) -> MethodPoint:
-    return beamsplitter.bs_evaluate(
-        beamsplitter.BsParams(b=row.get("b", 0.0), theta=row.get("theta", 0.0))
+    if cap is not None:
+        message = f"seed_ratio {{:g}} exceeds seed input cap {cap:g}"
+        skips.check(seed <= cap, message.format, seed)
+    skips.check(~(seed < 0.0), "seed_ratio must be >= 0, got {!r}".format, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        skips.check(abs(var_x * var_p) < math.inf, opa.OVERFLOW.format, tau, seed)
+    return SweepTable(
+        values, *skips.outputs(alpha_sq, var_x, var_p), _OPA, {"regime": regime.value}
     )
 
 
-def _opo_point(regime: Regime) -> Callable[[dict[str, float]], MethodPoint]:
-    return lambda row: opo.opo_evaluate(
-        opo.OpoParams(row["c0"], row.get("seed_ratio", 0.0), regime)
-    )
-
-
-def _om_point(axis: SqueezedAxis) -> Callable[[dict[str, float]], MethodPoint]:
-    return lambda row: optomech.om_evaluate(
-        optomech.OmParams(row["cc"], row["dd"], row.get("n_bar", 0.0), axis)
-    )
-
-
-def _opo_amplitude(grid: SweepGrid) -> list[SweepRecord]:
-    records = _pointwise(_opo_point(Regime.AMPLITUDE_SQUEEZING))(grid)
-    return _apply_opo_amplitude_cutoff(grid, records)
+def _opo_amplitude(grid: SweepGrid) -> SweepTable:
+    """OPO deamplifying sweep; rows past the alpha_sq turnaround of each
+    seed scan are skipped. Rows skipped already keep their reason."""
+    table = _kernel(opo.opo_columns, regime=Regime.AMPLITUDE_SQUEEZING)(grid)
+    names = [ax.name for ax in grid.axes]
+    if "seed_ratio" not in names:
+        return table
+    pos = names.index("seed_ratio")
+    rows = np.arange(len(table)).reshape([ax.count for ax in grid.axes])
+    for scan in np.moveaxis(rows, pos, -1).reshape(-1, grid.axes[pos].count):
+        live = scan[table.ok[scan]]  # in seed order
+        cut = opo.amplitude_cutoff_index(table.alpha_sq[live])
+        if cut is not None:
+            past = live[cut:]
+            table.ok[past] = False
+            table.reason[past] = "nonmonotonic alpha_sq vs seed_ratio (past cutoff)"
+            for col in (table.alpha_sq, table.var_x, table.var_p):
+                col[past] = math.nan
+    return table
 
 
 @dataclass(frozen=True)
@@ -301,7 +309,7 @@ class MethodSpec:
     params: tuple[str, ...]  # accepted axis names, also frontier CSV columns
     required: tuple[str, ...]  # axes every grid must have
     axes: tuple[Axis, ...]  # default grid
-    run: Callable[[SweepGrid], list[SweepRecord]]
+    run: Callable[[SweepGrid], SweepTable]
 
 
 _BS = ("b", "theta")
@@ -325,12 +333,15 @@ _OM_AXES = (
     Axis("dd", 0.005, 1.0, 160),
 )
 
-# Runners look evaluators up on their modules at call time, never at import,
+# The OPO cutoff is looked up on its module at call time, never at import,
 # so that a module attribute replaced at run time takes effect.
 METHODS: dict[Method, MethodSpec] = {
-    Method.BEAM_SPLITTER: MethodSpec(_BS, (), _BS_AXES, _pointwise(_bs_point)),
+    Method.BEAM_SPLITTER: MethodSpec(
+        _BS, (), _BS_AXES, _kernel(beamsplitter.bs_columns)
+    ),
     Method.OPO_PHASE: MethodSpec(
-        _OPO, ("c0",), _OPO_AXES, _pointwise(_opo_point(Regime.PHASE_SQUEEZING))
+        _OPO, ("c0",), _OPO_AXES,
+        _kernel(opo.opo_columns, regime=Regime.PHASE_SQUEEZING),
     ),
     Method.OPO_AMPLITUDE: MethodSpec(_OPO, ("c0",), _OPO_AXES, _opo_amplitude),
     Method.OPA_PHASE: MethodSpec(
@@ -341,15 +352,17 @@ METHODS: dict[Method, MethodSpec] = {
         functools.partial(_sweep_opa, Regime.AMPLITUDE_SQUEEZING),
     ),
     Method.OM_AMPLITUDE: MethodSpec(
-        _OM, ("cc", "dd"), _OM_AXES, _pointwise(_om_point(SqueezedAxis.AMPLITUDE))
+        _OM, ("cc", "dd"), _OM_AXES,
+        _kernel(optomech.om_columns, axis=SqueezedAxis.AMPLITUDE),
     ),
     Method.OM_PHASE: MethodSpec(
-        _OM, ("cc", "dd"), _OM_AXES, _pointwise(_om_point(SqueezedAxis.PHASE))
+        _OM, ("cc", "dd"), _OM_AXES,
+        _kernel(optomech.om_columns, axis=SqueezedAxis.PHASE),
     ),
 }
 
 
-def sweep(grid: SweepGrid) -> list[SweepRecord]:
+def sweep(grid: SweepGrid) -> SweepTable:
     """Evaluate a method over the full grid, in row-major axis order."""
     return METHODS[grid.method].run(grid)
 
@@ -358,24 +371,48 @@ def ok_points(records: Iterable[SweepRecord]) -> list[MethodPoint]:
     return [r.point for r in records if r.status == "ok" and r.point is not None]
 
 
-class _Ranked(list):
-    """The ok points of one sweep, ranked once for every threshold."""
+class _Ranked:
+    """The ok points of one sweep as columns, ranked once for every threshold."""
 
-    def __init__(self, points: Iterable[MethodPoint], bins: LogBins) -> None:
-        super().__init__(points)
+    def __init__(
+        self, alpha_sq: np.ndarray, var_x: np.ndarray, var_p: np.ndarray,
+        params: Callable[[int], dict[str, object]], bins: LogBins,
+    ) -> None:
+        self.alpha_sq, self.var_x, self.var_p = alpha_sq, var_x, var_p
+        self.params = params  # params record of a point, built only for winners
         self.bins = bins
+
+    @classmethod
+    def of_points(cls, points: Iterable[MethodPoint], bins: LogBins) -> _Ranked:
+        pts = list(points)
+
+        def col(attr: str) -> np.ndarray:
+            return np.fromiter(map(attrgetter(attr), pts), float, len(pts))
+
+        return cls(
+            col("alpha_sq"), col("stats.var_x"), col("stats.var_p"),
+            lambda i: dict(pts[i].params), bins,
+        )
+
+    @classmethod
+    def of_table(cls, table: SweepTable, bins: LogBins) -> _Ranked:
+        rows = np.flatnonzero(table.ok)
+        return cls(
+            table.alpha_sq[rows], table.var_x[rows], table.var_p[rows],
+            lambda i: table.point_params(rows[i]), bins,
+        )
+
+    def __len__(self) -> int:
+        return len(self.alpha_sq)
 
     @functools.cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(input row, squeeze_db, U, bin) of in-range points, by bin, then best."""
-        alpha_sq = np.fromiter(map(attrgetter("alpha_sq"), self), float, len(self))
-        b = self.bins.indices(alpha_sq)
+        b = self.bins.indices(self.alpha_sq)
         rows = np.flatnonzero(b >= 0)
-        stats = [self[i].stats for i in rows.tolist()]
-        var_x = np.fromiter(map(attrgetter("var_x"), stats), float, len(stats))
-        var_p = np.fromiter(map(attrgetter("var_p"), stats), float, len(stats))
-        db, u = squeeze_columns(var_x, var_p)
-        rank = np.lexsort((alpha_sq[rows], u, -db, b[rows]))  # stable: ties keep order
+        db, u = squeeze_columns(self.var_x[rows], self.var_p[rows])
+        # stable: ties keep their order
+        rank = np.lexsort((self.alpha_sq[rows], u, -db, b[rows]))
         return rows[rank], db[rank], u[rank], b[rows[rank]]
 
 
@@ -388,13 +425,13 @@ def frontier(
     if not threshold >= 1.0:
         raise ConfigError(f"threshold must be >= 1, got {threshold!r}")
     reuse = isinstance(points, _Ranked) and points.bins == bins
-    ranked = points if reuse else _Ranked(points, bins)
+    ranked = points if reuse else _Ranked.of_points(points, bins)
     rows, db, u, b = ranked.columns
     keep = np.flatnonzero(u <= threshold + 1e-12)
     best = keep[np.diff(b[keep], prepend=-1) != 0]  # first kept row of each bin
     centers = bins.centers().tolist()
     pts = tuple(
-        FrontierPoint(centers[i], d, v, dict(ranked[r].params))
+        FrontierPoint(centers[i], d, v, ranked.params(r))
         for r, d, v, i in zip(*(col[best].tolist() for col in (rows, db, u, b)))
     )
     return FrontierCurve(threshold=threshold, points=pts)
@@ -412,7 +449,7 @@ def frontier_suite(
     bad = [thr for thr in thresholds if not thr >= 1.0]
     if bad:
         raise ConfigError(f"threshold must be >= 1, got {bad[0]!r}")
-    ranked = _Ranked(ok_points(sweep(grid)), bins)
+    ranked = _Ranked.of_table(sweep(grid), bins)
     return [frontier(ranked, thr, bins) for thr in thresholds]
 
 

@@ -57,9 +57,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, MethodPoint, QuadratureStats, Regime
+from .core import (
+    MAX_GRID_POINTS, DomainError, MethodPoint, QuadratureStats, Regime, mapped,
+)
 
 STEPS_PER_UNIT_TIME = 4096
+OVERFLOW = "noise covariance overflows double precision at tau={!r} (seed_ratio={!r})"
 
 
 class NonConvergenceError(RuntimeError):
@@ -80,8 +83,8 @@ class OpaParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.seed_ratio) or self.seed_ratio < 0.0:
             raise DomainError(f"seed_ratio must be >= 0, got {self.seed_ratio!r}")
-        if not self.t_max > 0.0:
-            raise DomainError(f"t_max must be > 0, got {self.t_max!r}")
+        if not 0.0 < self.t_max < math.inf:
+            raise DomainError(f"t_max must be finite and > 0, got {self.t_max!r}")
         if self.n_steps == 0:
             object.__setattr__(
                 self, "n_steps", max(2, round(STEPS_PER_UNIT_TIME * self.t_max))
@@ -92,26 +95,6 @@ class OpaParams:
     @property
     def pump_sign(self) -> float:
         return _pump_sign(self.regime)
-
-
-def output_point(
-    seed_ratio: float, regime: Regime, tau: float,
-    a_s: float, var_x: float, var_p: float,
-) -> MethodPoint:
-    """The seed's output record at time tau, from evaluated fields."""
-    var_x, var_p = float(var_x), float(var_p)
-    if not math.isfinite(var_x * var_p):
-        raise DomainError(
-            f"noise covariance overflows double precision at tau={tau!r}"
-            f" (seed_ratio={seed_ratio!r})"
-        )
-    return MethodPoint(
-        alpha_sq=float(a_s) ** 2,  # |e_p| = 1
-        stats=QuadratureStats(var_x=var_x, var_p=var_p),
-        params={
-            "seed_ratio": float(seed_ratio), "tau": float(tau), "regime": regime.value,
-        },
-    )
 
 
 @dataclass(frozen=True)
@@ -138,10 +121,7 @@ class OpaTrajectory:
         return float(self.a_s[i] ** 2)  # |e_p| = 1
 
     def point(self, i: int) -> MethodPoint:
-        return output_point(
-            self.params.seed_ratio, self.params.regime, float(self.times[i]),
-            self.a_s[i], self.cov_x[i, 0, 0], self.cov_p[i, 0, 0],
-        )
+        return opa_evaluate(self.params, float(self.times[i]))
 
 
 def _fields(
@@ -205,7 +185,7 @@ def evolve(
 
     Returns a_s and a_p of shape (seeds, times) and cov_x, cov_p of shape
     (seeds, times, 2, 2). Entries past the range of double precision come
-    out inf or nan; output_point turns them into a DomainError.
+    out inf or nan; callers report them as a DomainError (OVERFLOW).
     """
     p = _pump_sign(regime)
     s = np.asarray(seed_ratios, dtype=float)[:, None]
@@ -223,7 +203,18 @@ def evolve(
         cov_x = _gram(f11, f12, f21, f22)
         # Phi_p = Phi_x^-T, with 1/det Phi_x = 1/r
         cov_p = _gram(f22 / r, -f21 / r, -f12 / r, f11 / r)
-    return s * r, a_p, cov_x, cov_p
+        a_s = s * r
+    return a_s, a_p, cov_x, cov_p
+
+
+def seed_outputs(
+    seed_ratios: Sequence[float] | np.ndarray, regime: Regime,
+    times: Sequence[float] | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seed's alpha_sq (|e_p| = 1), var_x and var_p, shape (seeds, times)."""
+    a_s, _, cov_x, cov_p = evolve(seed_ratios, regime, times)
+    alpha_sq = mapped(lambda a: a**2, a_s.ravel()).reshape(a_s.shape)  # libm pow
+    return alpha_sq, cov_x[..., 0, 0], cov_p[..., 0, 0]
 
 
 def propagate_batch(
@@ -231,6 +222,10 @@ def propagate_batch(
 ) -> list[OpaTrajectory]:
     """Trajectories of many seeds sampled on one shared time grid."""
     n = OpaParams(0.0, t_max, regime, n_steps).n_steps
+    if n + 1 > MAX_GRID_POINTS:
+        raise DomainError(
+            f"a time grid of {n + 1} points exceeds the limit of {MAX_GRID_POINTS}"
+        )
     params = [OpaParams(s, t_max, regime, n) for s in seed_ratios]
     times = np.linspace(0.0, t_max, n + 1)
     a_s, a_p, cov_x, cov_p = evolve([p.seed_ratio for p in params], regime, times)
@@ -270,8 +265,16 @@ def opa_evaluate(params: OpaParams, t: float) -> MethodPoint:
     """Output point at interaction time exactly t."""
     if not 0.0 <= t <= params.t_max:
         raise DomainError(f"t must lie in [0, t_max], got {t!r}")
-    a_s, _, cov_x, cov_p = evolve([params.seed_ratio], params.regime, [t])
-    return output_point(
-        params.seed_ratio, params.regime, t,
-        a_s[0, 0], cov_x[0, 0, 0, 0], cov_p[0, 0, 0, 0],
+    alpha_sq, var_x, var_p = (
+        float(c[0, 0]) for c in seed_outputs([params.seed_ratio], params.regime, [t])
+    )
+    if not math.isfinite(var_x * var_p):
+        raise DomainError(OVERFLOW.format(t, params.seed_ratio))
+    return MethodPoint(
+        alpha_sq=alpha_sq,
+        stats=QuadratureStats(var_x=var_x, var_p=var_p),
+        params={
+            "seed_ratio": float(params.seed_ratio), "tau": float(t),
+            "regime": params.regime.value,
+        },
     )

@@ -21,6 +21,9 @@ These expressions are asymptotic: away from the cc*dd = 1 limit the
 uncertainty product they predict can dip slightly below 1, so unlike the
 other evaluators they should not be relied on as exact quantum states at
 moderate brightness.
+
+`om_evaluate` (one point) and `om_columns` (a sweep's columns) share the
+closed forms.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, MethodPoint, QuadratureStats, SqueezedAxis
+import numpy as np
+
+from .core import DomainError, MethodPoint, QuadratureStats, Skips, SqueezedAxis
+
+_CC = "cc must be > 0, got {!r}"
+_DD = "dd must be >= 0, got {!r}"
+_N_BAR = "n_bar must be >= 0, got {!r}"
+_CC_DD = "cc*dd must not exceed 1, got {!r}"
 
 
 @dataclass(frozen=True)
@@ -40,31 +50,35 @@ class OmParams:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.cc) or self.cc <= 0.0:
-            raise DomainError(f"cc must be > 0, got {self.cc!r}")
+            raise DomainError(_CC.format(self.cc))
         if not math.isfinite(self.dd) or self.dd < 0.0:
-            raise DomainError(f"dd must be >= 0, got {self.dd!r}")
+            raise DomainError(_DD.format(self.dd))
         if not math.isfinite(self.n_bar) or self.n_bar < 0.0:
-            raise DomainError(f"n_bar must be >= 0, got {self.n_bar!r}")
+            raise DomainError(_N_BAR.format(self.n_bar))
         if self.cc * self.dd > 1.0:
-            raise DomainError(
-                f"cc*dd must not exceed 1, got {self.cc * self.dd!r}"
-            )
+            raise DomainError(_CC_DD.format(self.cc * self.dd))
+
+
+def _outputs(cc, dd, n_bar, axis: SqueezedAxis):
+    """(alpha_sq, var_x, var_p) of one drive setting."""
+    thermal = 2.0 * n_bar + 1.0
+    cd = cc * dd
+    u, v = 1.0 - cd, (1.0 + cd) * (1.0 + cd)
+    alpha_sq = u * u * u / (2.0 * cc * cc * (1.0 + dd * dd))
+    squeezed = (1.0 + dd * dd) * u / 2.0 + cc * dd * dd * thermal
+    anti = u * u / v + 4.0 * cc * thermal / v
+    if axis is SqueezedAxis.AMPLITUDE:
+        return alpha_sq, squeezed, anti
+    return alpha_sq, anti, squeezed
 
 
 def om_evaluate(params: OmParams) -> MethodPoint:
     """Output displacement ratio and variances for one drive setting."""
-    cc, dd, thermal = params.cc, params.dd, 2.0 * params.n_bar + 1.0
-    cd = cc * dd
-    alpha_sq = (1.0 - cd) ** 3 / (2.0 * cc * cc * (1.0 + dd * dd))
-    squeezed = (1.0 + dd * dd) * (1.0 - cd) / 2.0 + cc * dd * dd * thermal
-    anti = (1.0 - cd) ** 2 / (1.0 + cd) ** 2 + 4.0 * cc * thermal / (1.0 + cd) ** 2
-    if params.axis is SqueezedAxis.AMPLITUDE:
-        stats = QuadratureStats(var_x=squeezed, var_p=anti)
-    else:
-        stats = QuadratureStats(var_x=anti, var_p=squeezed)
+    cc, dd = params.cc, params.dd
+    alpha_sq, var_x, var_p = _outputs(cc, dd, params.n_bar, params.axis)
     return MethodPoint(
         alpha_sq=alpha_sq,
-        stats=stats,
+        stats=QuadratureStats(var_x, var_p),
         params={
             "cc": cc,
             "dd": dd,
@@ -72,6 +86,19 @@ def om_evaluate(params: OmParams) -> MethodPoint:
             "axis": params.axis.value,
         },
     )
+
+
+def om_columns(
+    cc: np.ndarray, dd: np.ndarray, n_bar: np.ndarray, axis: SqueezedAxis
+) -> tuple[np.ndarray, ...]:
+    """om_evaluate over columns: (alpha_sq, var_x, var_p, ok, reason)."""
+    skips = Skips(len(cc))
+    with np.errstate(all="ignore"):
+        skips.check((abs(cc) < math.inf) & (cc > 0.0), _CC.format, cc)
+        skips.check((abs(dd) < math.inf) & (dd >= 0.0), _DD.format, dd)
+        skips.check((abs(n_bar) < math.inf) & (n_bar >= 0.0), _N_BAR.format, n_bar)
+        skips.check(~(cc * dd > 1.0), _CC_DD.format, cc * dd)
+        return skips.outputs(*_outputs(cc, dd, n_bar, axis))
 
 
 def om_leading_order(params: OmParams, alpha_sq: float) -> QuadratureStats:

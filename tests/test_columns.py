@@ -1,0 +1,286 @@
+"""The columnar sweep against the scalar evaluators, the OPO root against a
+50-digit root, and the work cap on grids and trajectories."""
+
+import importlib
+import math
+import resource
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+
+import numpy as np
+import pytest
+
+from sqzlab.beamsplitter import BsParams, bs_evaluate
+from sqzlab.core import MAX_GRID_POINTS, DomainError, Regime, SqueezedAxis
+from sqzlab.frontier import (
+    Axis,
+    ConfigError,
+    Method,
+    Spacing,
+    SweepGrid,
+    SweepTable,
+    default_grid,
+)
+from sqzlab.opa import OpaParams, opa_evaluate
+from sqzlab.opo import OpoParams, amplitude_cutoff_index, opo_evaluate
+from sqzlab.optomech import OmParams, om_evaluate
+
+# the package exports the function `frontier` under the module's name
+frontier_module = importlib.import_module("sqzlab.frontier")
+CUTOFF = "nonmonotonic alpha_sq vs seed_ratio (past cutoff)"
+
+
+def scalar_point(method: Method, row: dict[str, float]):
+    """The scalar evaluator's point for one grid row, as the parent sweep made it."""
+    if method is Method.BEAM_SPLITTER:
+        return bs_evaluate(BsParams(row.get("b", 0.0), row.get("theta", 0.0)))
+    if method in (Method.OPO_PHASE, Method.OPO_AMPLITUDE):
+        regime = Regime.PHASE_SQUEEZING if method is Method.OPO_PHASE else Regime.AMPLITUDE_SQUEEZING
+        return opo_evaluate(OpoParams(row["c0"], row.get("seed_ratio", 0.0), regime))
+    if method in (Method.OM_AMPLITUDE, Method.OM_PHASE):
+        axis = SqueezedAxis.AMPLITUDE if method is Method.OM_AMPLITUDE else SqueezedAxis.PHASE
+        return om_evaluate(OmParams(row["cc"], row["dd"], row.get("n_bar", 0.0), axis))
+    regime = Regime.PHASE_SQUEEZING if method is Method.OPA_PHASE else Regime.AMPLITUDE_SQUEEZING
+    tau = row["tau"]
+    return opa_evaluate(OpaParams(row["seed_ratio"], max(tau, 1e-12), regime), tau)
+
+
+def assert_matches_scalar(method: Method, table: SweepTable) -> set[str]:
+    """Every row equals the scalar path: the same floats, bit for bit, or
+    the message it raises. Returns the skip reasons met."""
+    assert isinstance(table, SweepTable)
+    names = list(table.values)
+    rows = zip(*(table.values[n].tolist() for n in names))
+    outputs = zip(table.alpha_sq.tolist(), table.var_x.tolist(), table.var_p.tolist())
+    reasons = set()
+    for i, (row, out) in enumerate(zip(rows, outputs)):
+        values = dict(zip(names, row))
+        try:
+            pt = scalar_point(method, values)
+        except DomainError as exc:
+            assert not table.ok[i] and table.reason[i] == str(exc), (values, table.reason[i])
+            reasons.add(str(exc))
+            continue
+        if table.reason[i] == CUTOFF:  # a post-pass of the sweep, not an evaluator check
+            assert method is Method.OPO_AMPLITUDE
+            reasons.add(CUTOFF)
+            continue
+        assert table.ok[i] and table.reason[i] == "", (values, table.reason[i])
+        assert out == (pt.alpha_sq, pt.stats.var_x, pt.stats.var_p), values
+        assert table[i].point == pt
+    return reasons
+
+
+@pytest.mark.parametrize(
+    "method",
+    [m for m in Method],
+    ids=lambda m: m.value,
+)
+def test_default_grid_columns_equal_scalar_evaluators(method):
+    table = frontier_module.sweep(default_grid(method))
+    reasons = assert_matches_scalar(method, table)
+    expected_skips = {
+        Method.OPO_AMPLITUDE: 9_491, Method.OM_AMPLITUDE: 8_089, Method.OM_PHASE: 8_089,
+    }.get(method, 0)
+    assert (~table.ok).sum() == expected_skips
+    assert (method is Method.OPO_AMPLITUDE) == (CUTOFF in reasons)
+
+
+# Small grids that cross every domain edge, so that each check meets a row
+# it skips. Each entry: method, axes, constraints, the reason prefixes met.
+EDGE_GRIDS = [
+    (
+        Method.BEAM_SPLITTER,
+        (Axis("b", -1.0, 3.0, 3), Axis("theta", -0.5, 2.0, 11)),
+        {},
+        ("theta must lie in [0, pi/2]",),
+    ),
+    (
+        Method.BEAM_SPLITTER,
+        (Axis("theta", 0.0, 1.0, 2), Axis("b", 0.0, math.inf, 3)),  # b: nan, inf, inf
+        {},
+        ("b must be finite",),
+    ),
+    (
+        Method.OPO_PHASE,
+        (Axis("c0", -0.5, 1.5, 9), Axis("seed_ratio", -1.0, 3.0, 9)),
+        {},
+        ("c0 must lie in (0, 1)", "seed_ratio must be >= 0"),
+    ),
+    (
+        Method.OPO_AMPLITUDE,
+        (Axis("seed_ratio", 1e-3, 1e200, 9, Spacing.LOG), Axis("c0", 0.2, 0.995, 4)),
+        {},
+        ("steady-state residual", "var_x must be finite and positive"),
+    ),
+    (
+        Method.OM_AMPLITUDE,
+        (
+            Axis("cc", -1.0, 4.0, 6),
+            Axis("dd", -0.5, 1.0, 7),
+            Axis("n_bar", -1.0, 1.0, 3),
+        ),
+        {},
+        ("cc must be > 0", "dd must be >= 0", "n_bar must be >= 0", "cc*dd must not exceed 1"),
+    ),
+    (
+        Method.OM_PHASE,
+        # cc = 1e-160 leaves cc^2 subnormal, not 0, so alpha_sq overflows
+        (Axis("dd", 0.0, 0.5, 3), Axis("cc", 1e-160, 1e308, 5, Spacing.LOG)),
+        {},
+        ("var_x must be finite and positive", "alpha_sq must be finite and >= 0",
+         "cc*dd must not exceed 1"),
+    ),
+    (
+        Method.OPA_PHASE,
+        (Axis("tau", 0.0, 1e3, 5), Axis("seed_ratio", -1.0, 3.0, 5)),
+        {"seed_input_cap": 2.0},
+        ("seed_ratio 3 exceeds seed input cap 2", "seed_ratio must be >= 0",
+         "noise covariance overflows double precision"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "method, axes, constraints, prefixes", EDGE_GRIDS, ids=lambda v: getattr(v, "value", "")
+)
+def test_edge_grid_masks_match_scalar_messages(method, axes, constraints, prefixes):
+    grid = SweepGrid(method, axes, constraints)
+    with np.errstate(invalid="ignore"):  # linspace to inf
+        table = frontier_module.sweep(grid)
+    if constraints:  # the cap is a sweep constraint, not a scalar check
+        capped = table.values["seed_ratio"] > constraints["seed_input_cap"]
+        assert all(r.startswith("seed_ratio 3 exceeds") for r in table.reason[capped])
+        table = SweepTable(
+            {k: v[~capped] for k, v in table.values.items()},
+            *(c[~capped] for c in (table.alpha_sq, table.var_x, table.var_p, table.ok,
+                                   table.reason)),
+            table.params, table.tags,
+        )
+    reasons = assert_matches_scalar(method, table)
+    if constraints:
+        reasons.add("seed_ratio 3 exceeds seed input cap 2")
+    for prefix in prefixes:
+        assert any(r.startswith(prefix) for r in reasons), prefix
+
+
+def test_table_views_read_like_records():
+    table = frontier_module.sweep(
+        SweepGrid(Method.OM_AMPLITUDE, (Axis("cc", 0.5, 4.0, 3), Axis("dd", 0.1, 0.9, 3)))
+    )
+    assert len(table) == 9 and len(table[2:5]) == 3
+    assert table[-1].values == {"cc": 4.0, "dd": 0.9}
+    assert table[-1].status == "skipped" and table[-1].point is None
+    first = table[0]
+    assert first.status == "ok" and first.skip_reason == ""
+    assert first.point.params == {"cc": 0.5, "dd": 0.1, "n_bar": 0.0, "axis": "amplitude"}
+    assert [r.values for r in table] == [table[i].values for i in range(9)]
+    with pytest.raises(IndexError):
+        table[9]
+
+
+def test_cutoff_is_per_seed_scan_in_either_axis_order():
+    c0 = Axis("c0", 0.5, 0.95, 6)
+    seed = Axis("seed_ratio", -0.5, 10.0, 40)  # negative seeds: domain skips first
+    cut = {}
+    for axes in ((c0, seed), (seed, c0)):
+        table = frontier_module.sweep(SweepGrid(Method.OPO_AMPLITUDE, axes))
+        rows = zip(table.values["c0"].tolist(), table.values["seed_ratio"].tolist())
+        cut[axes[0].name] = {row for row, r in zip(rows, table.reason) if r == CUTOFF}
+    assert cut["c0"] == cut["seed_ratio"]
+    # the loop the cutoff replaced: per c0, the ok points in seed order,
+    # cut from the first decrease of alpha_sq on
+    expected = set()
+    for c in c0.values().tolist():
+        scan = []
+        for s in seed.values().tolist():
+            try:
+                scan.append((s, scalar_point(Method.OPO_AMPLITUDE, {"c0": c, "seed_ratio": s})))
+            except DomainError:
+                continue
+        drops = [i for i in range(1, len(scan)) if scan[i][1].alpha_sq < scan[i - 1][1].alpha_sq]
+        expected |= {(c, s) for s, _ in scan[drops[0]:]} if drops else set()
+    assert expected and cut["c0"] == expected
+
+
+def test_cutoff_index_over_arrays():
+    assert amplitude_cutoff_index(np.array([0.1, 0.2, 0.3])) is None
+    assert amplitude_cutoff_index(np.array([0.1, 0.3, 0.3, 0.2])) == 3
+    assert amplitude_cutoff_index(np.array([])) is None
+
+
+def _root_50_digits(c0: float, seed_ratio: float, regime: Regime) -> Decimal:
+    """alpha_sq from the cubic solved by Newton's method in 60-digit decimals,
+    from the double-precision inputs taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e_p = Decimal(c0) / 4
+        if regime is Regime.PHASE_SQUEEZING:
+            e_p = -e_p
+        e_s = Decimal(seed_ratio) * abs(e_p)
+        p, q = (1 + 4 * e_p) / 2, e_s
+        a = -q / p  # the cubic is increasing (p > 0); the root lies in [-q/p, 0]
+        for _ in range(200):
+            step = (a * a * a + p * a + q) / (3 * a * a + p)
+            a -= step
+            if abs(step) <= abs(a) * Decimal("1e-55"):
+                break
+        return ((e_s + a) / e_p) ** 2
+
+
+@pytest.mark.parametrize(
+    "method, regime",
+    [(Method.OPO_PHASE, Regime.PHASE_SQUEEZING),
+     (Method.OPO_AMPLITUDE, Regime.AMPLITUDE_SQUEEZING)],
+    ids=["phase", "amplitude"],
+)
+def test_opo_root_matches_50_digit_root(method, regime):
+    table = frontier_module.sweep(default_grid(method))
+    rows = [i for i in range(0, len(table), 7) if table.ok[i]]
+    worst = 0.0
+    for i in rows:
+        c0, seed = float(table.values["c0"][i]), float(table.values["seed_ratio"][i])
+        exact = _root_50_digits(c0, seed, regime)
+        worst = max(worst, float(abs((Decimal(float(table.alpha_sq[i])) - exact) / exact)))
+    # measured: 8.8e-14 (phase), 2.0e-13 (amplitude); Cardano alone gave
+    # 5.4e-9 and 1.76e-7
+    assert worst < 2e-12
+
+
+def test_grid_over_the_work_cap_is_rejected_before_allocation():
+    side = 2_000
+    SweepGrid(Method.BEAM_SPLITTER, (Axis("b", 0, 1, side), Axis("theta", 0, 1, MAX_GRID_POINTS // side)))
+    with pytest.raises(ConfigError, match="limit"):
+        SweepGrid(
+            Method.BEAM_SPLITTER,
+            (Axis("b", 0, 1, side), Axis("theta", 0, 1, MAX_GRID_POINTS // side + 1)),
+        )
+
+
+def _limited() -> None:
+    # a regression must fail fast, not fill the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--method", "bs", "--axis", "b=0:1:1000000000", "--axis", "theta=0:1:3",
+         "--out", "-"),
+        ("frontier", "--method", "opo_phase", "--axis", "c0=0.1:0.9:100000",
+         "--axis", "seed_ratio=0.1:1:100000", "--out", "-"),
+        ("opa-trajectory", "--seed-ratio", "0.1", "--t-max", "1e9"),
+        ("opa-trajectory", "--seed-ratio", "0.1", "--n-steps", "1000000000000"),
+        ("opa-trajectory", "--seed-ratio", "0.1", "--t-max", "inf"),
+    ],
+    ids=["sweep", "frontier", "trajectory-t-max", "trajectory-n-steps", "trajectory-inf"],
+)
+def test_work_cap_exits_2(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqzlab.cli", *argv], capture_output=True, text=True,
+        timeout=60, preexec_fn=_limited,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "limit" in proc.stderr or "t_max must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
