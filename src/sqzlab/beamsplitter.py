@@ -18,6 +18,7 @@ formula; exp, cos and sin are libm's in both.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,9 @@ import numpy as np
 from .core import DomainError, MethodPoint, QuadratureStats, Skips, mapped
 
 HALF_PI = math.pi / 2.0
+B_MAX = math.log(sys.float_info.max) / 2.0  # the largest |b| with e^(2|b|) finite
 _B_FINITE = "b must be finite, got {!r}"
+_B_RANGE = f"|b| must be at most {B_MAX!r}, beyond which e^(2|b|) overflows, got {{!r}}"
 _THETA_RANGE = "theta must lie in [0, pi/2], got {!r}"
 
 
@@ -39,6 +42,8 @@ class BsParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.b):
             raise DomainError(_B_FINITE.format(self.b))
+        if abs(self.b) > B_MAX:
+            raise DomainError(_B_RANGE.format(self.b))
         if not 0.0 <= self.theta <= HALF_PI:
             raise DomainError(_THETA_RANGE.format(self.theta))
 
@@ -64,6 +69,7 @@ def bs_columns(b: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
     skips = Skips(len(b))
     with np.errstate(invalid="ignore"):
         skips.check(abs(b) < math.inf, _B_FINITE.format, b)
+        skips.check(abs(b) <= B_MAX, _B_RANGE.format, b)
         skips.check((theta >= 0.0) & (theta <= HALF_PI), _THETA_RANGE.format, theta)
     b, theta = (np.where(skips.ok, c, 0.0) for c in (b, theta))  # math.cos(inf) raises
     return skips.outputs(*_outputs(

@@ -21,11 +21,13 @@ seed_ratio=0, n_bar=0. c0, cc and dd have no defaults and must be given.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from typing import Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -179,11 +181,80 @@ def _metadata_lines(config: dict[str, object]) -> list[str]:
     return [f"{k} = {config[k]}" for k in sorted(config)]
 
 
-def _numbers(table: SweepTable) -> list[list[float]]:
-    """alpha_sq, var_x, var_p, squeeze_db and uncertainty per row, as
-    squeeze_metrics gives them; NaN in a skipped row."""
-    db, u = squeeze_columns(table.var_x, table.var_p)
-    return [c.tolist() for c in (table.alpha_sq, table.var_x, table.var_p, db, u)]
+def _reprs(col: np.ndarray, json_numbers: bool = False) -> list[str]:
+    """_fnum of each value of a column, from one repr of the whole list; with
+    json_numbers, NaN and +-Infinity are spelled as json.dumps spells them."""
+    text = repr(col.tolist())[1:-1]
+    if json_numbers:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text.split(", ") if text else []
+
+
+def _axis_reprs(col: np.ndarray, json_numbers: bool) -> np.ndarray:
+    """_reprs of an axis column, each distinct value formatted once, since a
+    grid repeats its axis values over many rows. Values are told apart by
+    their bits, so -0.0 keeps its own text."""
+    bits = np.asarray(col, dtype=float).view(np.uint64)
+    distinct, row_of = np.unique(bits, return_inverse=True)
+    return np.array(_reprs(distinct.view(float), json_numbers), dtype=object)[row_of]
+
+
+def _joined(pieces: list) -> list[str]:
+    """The text of each row: the str pieces as they are, and from each column
+    piece (a list of str, one per row) the row's own item."""
+    merged: list = []
+    for piece in pieces:
+        if isinstance(piece, str) and merged and isinstance(merged[-1], str):
+            merged[-1] += piece
+        else:
+            merged.append(piece)
+    columns = (itertools.repeat(p) if isinstance(p, str) else p for p in merged)
+    return list(map("".join, zip(*columns)))
+
+
+def _rows(
+    table: SweepTable,
+    ok_row: Callable[[list[list[str]], list[list[str]]], list],
+    skipped_row: Callable[[list[str], list[list[str]]], list],
+    json_numbers: bool = False,
+) -> list[str]:
+    """The text of each row of a table, in row order, one column formatted at
+    a time.
+
+    ok_row gets the text of the ok rows' alpha_sq, var_x, var_p, squeeze_db
+    and uncertainty (as squeeze_metrics gives them) and of their axis values,
+    and returns the pieces of those rows (see _joined); skipped_row gets the
+    skipped rows' reasons (JSON strings with json_numbers) and axis values.
+    """
+    ok = table.ok
+    axes = [_axis_reprs(col, json_numbers) for col in table.values.values()]
+    db, u = squeeze_columns(table.var_x[ok], table.var_p[ok])
+    numbers = (table.alpha_sq[ok], table.var_x[ok], table.var_p[ok], db, u)
+    good = _joined(ok_row(
+        [_reprs(c, json_numbers) for c in numbers], [a[ok].tolist() for a in axes]
+    ))
+    if len(good) == len(ok):
+        return good
+    rows = np.empty(len(ok), dtype=object)
+    rows[ok] = good
+    del good
+    reasons = table.reason[~ok].tolist()
+    if json_numbers:
+        reasons = list(map(encode_basestring_ascii, reasons))
+    rows[~ok] = _joined(skipped_row(reasons, [a[~ok].tolist() for a in axes]))
+    return rows.tolist()
+
+
+def _json_object(members: dict[str, list], depth: int) -> list:
+    """The pieces of the object that json.dumps(indent=1, sort_keys=True)
+    writes at nesting depth; each member maps to the pieces of its value."""
+    if not members:
+        return ["{}"]
+    pieces: list = ["{"]
+    for i, key in enumerate(sorted(members)):
+        pad = "," * (i > 0) + "\n" + " " * (depth + 1)
+        pieces += [pad, encode_basestring_ascii(key), ": ", *members[key]]
+    return pieces + ["\n" + " " * depth + "}"]
 
 
 def sweep_csv(method: Method, records: SweepTable, config: dict[str, object]) -> str:
@@ -195,38 +266,52 @@ def sweep_csv(method: Method, records: SweepTable, config: dict[str, object]) ->
              "uncertainty", "status", "skip_reason"]
         )
     )
-    ok = records.ok.tolist()
-    columns = [
-        [method.value] * len(ok),
-        *(map(_fnum, records.values[n].tolist()) for n in names),
-        *([_fnum(v) if k else "" for v, k in zip(col, ok)] for col in _numbers(records)),
-        ["ok" if k else "skipped" for k in ok],
-        records.reason.tolist(),
-    ]
-    lines.extend(map(",".join, zip(*columns)))
+
+    def fields(*columns: str | list[str]) -> list:
+        return [piece for col in columns for piece in (",", col)][1:]
+
+    lines.extend(_rows(
+        records,
+        lambda numbers, axes: fields(method.value, *axes, *numbers, "ok", ""),
+        lambda reasons, axes: fields(method.value, *axes, *[""] * 5, "skipped", reasons),
+    ))
     return "\n".join(lines) + "\n"
 
 
 def sweep_json(method: Method, records: SweepTable, config: dict[str, object]) -> str:
+    """The text of json.dumps(doc, indent=1, sort_keys=True), written from the
+    columns: each point's keys are laid out once, in order, for every row."""
     names = list(records.values)
-    rows = zip(records.ok.tolist(), *(records.values[n].tolist() for n in names))
-    points = []
-    for i, ((ok, *row), numbers) in enumerate(zip(rows, zip(*_numbers(records)))):
-        entry: dict[str, object] = {
-            "method": method.value,
-            "values": dict(zip(names, row)),
-            "status": "ok" if ok else "skipped",
-            "skip_reason": records.reason[i],
+    tags = {key: [encode_basestring_ascii(v)] for key, v in records.tags.items()}
+
+    def point(status: str, reasons: str | list[str], axes: list[list[str]]) -> dict:
+        return {
+            "method": [encode_basestring_ascii(method.value)],
+            "values": _json_object({n: [col] for n, col in zip(names, axes)}, 3),
+            "status": [encode_basestring_ascii(status)],
+            "skip_reason": [reasons],
         }
-        if ok:
-            alpha_sq, var_x, var_p, db, u = numbers
-            entry.update(
-                alpha_sq=alpha_sq, var_x=var_x, var_p=var_p, squeeze_db=db,
-                uncertainty=u, params=records.point_params(i),
-            )
-        points.append(entry)
-    doc = {"config": {k: str(v) for k, v in sorted(config.items())}, "points": points}
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+    def ok_point(numbers: list[list[str]], axes: list[list[str]]) -> list:
+        by_name = dict(zip(names, axes))
+        params = {n: [by_name.get(n, "0.0")] for n in records.params} | tags
+        keys = ("alpha_sq", "var_x", "var_p", "squeeze_db", "uncertainty")
+        return _json_object(
+            point("ok", encode_basestring_ascii(""), axes)
+            | {key: [col] for key, col in zip(keys, numbers)}
+            | {"params": _json_object(params, 3)},
+            2,
+        )
+
+    def skipped_point(reasons: list[str], axes: list[list[str]]) -> list:
+        return _json_object(point("skipped", reasons, axes), 2)
+
+    doc = {"config": {k: str(v) for k, v in sorted(config.items())}, "points": []}
+    head = json.dumps(doc, indent=1, sort_keys=True)  # ends in "[]\n}"
+    points = ",\n  ".join(_rows(records, ok_point, skipped_point, json_numbers=True))
+    if not points:
+        return head + "\n"
+    return f"{head[:-4]}[\n  {points}\n ]\n}}\n"
 
 
 def points_from_json(text: str) -> list[MethodPoint]:

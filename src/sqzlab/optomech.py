@@ -75,7 +75,13 @@ def _outputs(cc, dd, n_bar, axis: SqueezedAxis):
 def om_evaluate(params: OmParams) -> MethodPoint:
     """Output displacement ratio and variances for one drive setting."""
     cc, dd = params.cc, params.dd
-    alpha_sq, var_x, var_p = _outputs(cc, dd, params.n_bar, params.axis)
+    try:
+        alpha_sq, var_x, var_p = _outputs(cc, dd, params.n_bar, params.axis)
+    except ZeroDivisionError:  # cc*cc underflowed to 0: the column form's
+        # IEEE division gives inf or NaN, and the reason it skips the row
+        row = (np.array([v]) for v in (cc, dd, params.n_bar))
+        *_, reason = om_columns(*row, params.axis)
+        raise DomainError(reason[0]) from None
     return MethodPoint(
         alpha_sq=alpha_sq,
         stats=QuadratureStats(var_x, var_p),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError
+from .core import MAX_GRID_POINTS, DomainError
 from .opa import mean_fields
 
 
@@ -154,6 +154,8 @@ def mean_field_ode(
     """
     if t_max <= 0.0 or n_steps < 1:
         raise DomainError("t_max must be > 0 and n_steps >= 1")
+    if n_steps > MAX_GRID_POINTS:  # the loop is pure Python
+        raise DomainError(f"n_steps {n_steps} exceeds the limit of {MAX_GRID_POINTS}")
 
     def run(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         h = t_max / n

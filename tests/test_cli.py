@@ -6,6 +6,7 @@ import sys
 import time
 import xml.dom.minidom
 
+import numpy as np
 import pytest
 
 from sqzlab.cli import main, parse_axis, parse_bins, parse_thresholds, points_from_json, read_config_file
@@ -336,6 +337,39 @@ def test_point_opa_huge_tau_is_bounded(capsys):
     assert time.perf_counter() - t0 < 0.25
     assert code == 2
     assert "overflows double precision" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("point", "bs", "--b", "400"), "|b| must be at most 354.891356446692"),
+        (("point", "om", "--cc", "1e-200", "--dd", "0"),
+         "alpha_sq must be finite and >= 0, got inf"),
+        (("sweep", "--method", "bs", "--axis", "b=0:400:3", "--axis", "theta=0:1:3",
+          "--out", "-"), None),
+    ],
+    ids=["bs-overflow", "om-underflow", "bs-sweep-overflow"],
+)
+def test_overflow_and_underflow_are_domain_errors(argv, message):
+    proc = cli_subprocess(*argv)
+    assert "Traceback" not in proc.stderr
+    if message is None:  # a sweep skips the row with the scalar path's message
+        assert proc.returncode == 0
+        skipped = [l for l in proc.stdout.splitlines() if l.startswith("bs,400.0,")]
+        assert len(skipped) == 3
+        assert all(",skipped,|b| must be at most 354.891356446692" in l for l in skipped)
+    else:
+        assert proc.returncode == 2
+        assert message in proc.stderr
+
+
+def test_sweep_spells_nonfinite_axis_values_per_format(capsys):
+    argv = ["sweep", "--method", "bs", "--axis", "b=0:inf:3", "--axis", "theta=0:1:2"]
+    with np.errstate(invalid="ignore"):  # linspace to inf
+        code, out, _ = run(capsys, *argv, "--format", "json", "--out", "-")
+        assert code == 0 and '"b": NaN' in out and '"b": Infinity' in out
+        code, out, _ = run(capsys, *argv, "--format", "csv", "--out", "-")
+    assert code == 0 and "\nbs,nan,0.0," in out and "\nbs,inf,1.0," in out
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

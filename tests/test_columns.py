@@ -1,7 +1,9 @@
-"""The columnar sweep against the scalar evaluators, the OPO root against a
-50-digit root, and the work cap on grids and trajectories."""
+"""The columnar sweep against the scalar evaluators, the sweep writers against
+the per-row writers they replaced, the OPO root against a 50-digit root, and
+the work cap on grids and trajectories."""
 
 import importlib
+import json
 import math
 import resource
 import subprocess
@@ -11,8 +13,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from sqzlab import cli
 from sqzlab.beamsplitter import BsParams, bs_evaluate
-from sqzlab.core import MAX_GRID_POINTS, DomainError, Regime, SqueezedAxis
+from sqzlab.core import MAX_GRID_POINTS, DomainError, Regime, SqueezedAxis, squeeze_columns
 from sqzlab.frontier import (
     Axis,
     ConfigError,
@@ -103,6 +106,13 @@ EDGE_GRIDS = [
         ("b must be finite",),
     ),
     (
+        Method.BEAM_SPLITTER,
+        # e^(2|b|) overflows from |b| = 354.891356446692 on; b = 400 raised OverflowError
+        (Axis("b", -400.0, 400.0, 9), Axis("theta", 0.0, 1.0, 3)),
+        {},
+        ("|b| must be at most 354.891356446692",),
+    ),
+    (
         Method.OPO_PHASE,
         (Axis("c0", -0.5, 1.5, 9), Axis("seed_ratio", -1.0, 3.0, 9)),
         {},
@@ -131,6 +141,13 @@ EDGE_GRIDS = [
         {},
         ("var_x must be finite and positive", "alpha_sq must be finite and >= 0",
          "cc*dd must not exceed 1"),
+    ),
+    (
+        Method.OM_AMPLITUDE,
+        # cc = 1e-200 underflows cc^2 to 0; the scalar path raised ZeroDivisionError
+        (Axis("cc", 1e-200, 1e-160, 2, Spacing.LOG), Axis("dd", 0.0, 0.5, 2)),
+        {},
+        ("alpha_sq must be finite and >= 0, got inf",),
     ),
     (
         Method.OPA_PHASE,
@@ -163,6 +180,117 @@ def test_edge_grid_masks_match_scalar_messages(method, axes, constraints, prefix
         reasons.add("seed_ratio 3 exceeds seed input cap 2")
     for prefix in prefixes:
         assert any(r.startswith(prefix) for r in reasons), prefix
+
+
+def _numbers(table):
+    db, u = squeeze_columns(table.var_x, table.var_p)
+    return [c.tolist() for c in (table.alpha_sq, table.var_x, table.var_p, db, u)]
+
+
+def csv_per_row(method, records, config):
+    """The CSV writer the columnar one replaced: _fnum for every value."""
+    names = list(records.values)
+    lines = [f"# {k} = {config[k]}" for k in sorted(config)]
+    lines.append(",".join(["method", *names, "alpha_sq", "var_x", "var_p", "squeeze_db",
+                           "uncertainty", "status", "skip_reason"]))
+    ok = records.ok.tolist()
+    columns = [
+        [method.value] * len(ok),
+        *(map(cli._fnum, records.values[n].tolist()) for n in names),
+        *([cli._fnum(v) if k else "" for v, k in zip(col, ok)] for col in _numbers(records)),
+        ["ok" if k else "skipped" for k in ok],
+        records.reason.tolist(),
+    ]
+    lines.extend(map(",".join, zip(*columns)))
+    return "\n".join(lines) + "\n"
+
+
+def json_per_row(method, records, config):
+    """The JSON writer the columnar one replaced: a dict per point, then
+    json.dumps(indent=1, sort_keys=True)."""
+    names = list(records.values)
+    rows = zip(records.ok.tolist(), *(records.values[n].tolist() for n in names))
+    points = []
+    for i, ((ok, *row), numbers) in enumerate(zip(rows, zip(*_numbers(records)))):
+        entry = {
+            "method": method.value,
+            "values": dict(zip(names, row)),
+            "status": "ok" if ok else "skipped",
+            "skip_reason": records.reason[i],
+        }
+        if ok:
+            alpha_sq, var_x, var_p, db, u = numbers
+            entry.update(
+                alpha_sq=alpha_sq, var_x=var_x, var_p=var_p, squeeze_db=db,
+                uncertainty=u, params=records.point_params(i),
+            )
+        points.append(entry)
+    doc = {"config": {k: str(v) for k, v in sorted(config.items())}, "points": points}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def assert_writers_match_per_row(method, table, config):
+    with np.errstate(over="ignore"):  # U = inf in a hand-made row
+        assert cli.sweep_csv(method, table, config) == csv_per_row(method, table, config)
+        assert cli.sweep_json(method, table, config) == json_per_row(method, table, config)
+
+
+@pytest.mark.parametrize("method", [m for m in Method], ids=lambda m: m.value)
+def test_writers_match_per_row_writers_on_default_grids(method):
+    grid = default_grid(method)
+    table = frontier_module.sweep(grid)
+    assert_writers_match_per_row(method, table, cli._echo("sweep", grid, format="json"))
+
+
+WRITER_GRIDS = [
+    *((method, axes, constraints) for method, axes, constraints, _ in EDGE_GRIDS),
+    # -0.0 in both axes, in ok and skipped rows; linspace ends exactly at hi
+    (Method.BEAM_SPLITTER, (Axis("b", -1.0, -0.0, 3), Axis("theta", -1.0, -0.0, 3)), {}),
+    (Method.BEAM_SPLITTER, (), {}),  # one row, no axes: empty "values"
+    # cutoff rows after negative-seed rows
+    (Method.OPO_AMPLITUDE, (Axis("c0", 0.5, 0.95, 4), Axis("seed_ratio", -0.5, 10.0, 30)), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "method, axes, constraints", WRITER_GRIDS, ids=lambda v: getattr(v, "value", "")
+)
+def test_writers_match_per_row_writers_on_edge_grids(method, axes, constraints):
+    grid = SweepGrid(method, axes, constraints)
+    with np.errstate(invalid="ignore"):  # linspace to inf
+        table = frontier_module.sweep(grid)
+    assert_writers_match_per_row(method, table, cli._echo("sweep", grid, format="csv"))
+
+
+def test_writers_spell_nonfinite_values_signed_zeros_and_strings_as_before():
+    nan, inf = math.nan, math.inf
+    ok = np.array([True, True, False, False, False, True, False])
+    table = SweepTable(
+        # 0.0 and -0.0 in one column keep their own text
+        {"b": np.array([0.0, -0.0, nan, inf, -inf, -0.0, 0.0]), "theta": np.full(7, 0.5)},
+        np.array([0.0, 1e-300, nan, nan, nan, 0.5, nan]),
+        np.array([1.0, 1e200, nan, nan, nan, 0.25, nan]),  # 1e200 * 1e200: U = inf
+        np.array([1.0, 1e200, nan, nan, nan, 4.0, nan]),
+        ok,
+        np.array(["", "", "b must be finite, got nan", 'a "quoted", non-ASCII \u00e9 reason',
+                  "tab\there", "", "{} braces {0}"], dtype=object),
+        ("b", "theta", "extra"),  # a param without an axis reads 0.0
+        {"tag": "t\u00e4g"},
+    )
+    config = {"command": "sweep", "note": "\u00fc, \"q\""}
+    assert_writers_match_per_row(Method.BEAM_SPLITTER, table, config)
+    with np.errstate(over="ignore"):
+        text = cli.sweep_json(Method.BEAM_SPLITTER, table, config)
+        csv = cli.sweep_csv(Method.BEAM_SPLITTER, table, config)
+    assert '"b": NaN' in text and '"b": -Infinity' in text and '"uncertainty": Infinity' in text
+    assert '"b": -0.0' in text and '"b": 0.0' in text
+    assert "\nbs,nan,0.5,,,,,,skipped,b must be finite, got nan\n" in csv
+    assert "\nbs,-0.0,0.5,1e-300,1e+200,1e+200,-2000.0,inf,ok,\n" in csv
+    empty = SweepTable(
+        {"b": np.array([])}, *(np.array([]) for _ in range(3)), np.array([], dtype=bool),
+        np.array([], dtype=object), ("b",), {},
+    )
+    assert_writers_match_per_row(Method.BEAM_SPLITTER, empty, config)
 
 
 def test_table_views_read_like_records():
@@ -273,8 +401,10 @@ def _limited() -> None:
         ("opa-trajectory", "--seed-ratio", "0.1", "--t-max", "1e9"),
         ("opa-trajectory", "--seed-ratio", "0.1", "--n-steps", "1000000000000"),
         ("opa-trajectory", "--seed-ratio", "0.1", "--t-max", "inf"),
+        ("oracle", "opa", "--seed-ratio", "0.1", "--n-steps", "1000000000"),
     ],
-    ids=["sweep", "frontier", "trajectory-t-max", "trajectory-n-steps", "trajectory-inf"],
+    ids=["sweep", "frontier", "trajectory-t-max", "trajectory-n-steps", "trajectory-inf",
+         "oracle-n-steps"],
 )
 def test_work_cap_exits_2(argv):
     proc = subprocess.run(
