@@ -143,13 +143,6 @@ EDGE_GRIDS = [
          "cc*dd must not exceed 1"),
     ),
     (
-        Method.OM_AMPLITUDE,
-        # cc = 1e-200 underflows cc^2 to 0; the scalar path raised ZeroDivisionError
-        (Axis("cc", 1e-200, 1e-160, 2, Spacing.LOG), Axis("dd", 0.0, 0.5, 2)),
-        {},
-        ("alpha_sq must be finite and >= 0, got inf",),
-    ),
-    (
         Method.OPA_PHASE,
         (Axis("tau", 0.0, 1e3, 5), Axis("seed_ratio", -1.0, 3.0, 5)),
         {"seed_input_cap": 2.0},
@@ -158,9 +151,19 @@ EDGE_GRIDS = [
     ),
 ]
 
+# cc = 1e-200 underflows cc^2 to 0; the scalar path raised ZeroDivisionError
+OM_CC_UNDERFLOW = (
+    Method.OM_AMPLITUDE,
+    (Axis("cc", 1e-200, 1e-160, 2, Spacing.LOG), Axis("dd", 0.0, 0.5, 2)),
+    {},
+    ("alpha_sq must be finite and >= 0, got inf",),
+)
+
 
 @pytest.mark.parametrize(
-    "method, axes, constraints, prefixes", EDGE_GRIDS, ids=lambda v: getattr(v, "value", "")
+    "method, axes, constraints, prefixes",
+    [*EDGE_GRIDS, pytest.param(*OM_CC_UNDERFLOW, id="om_amplitude-cc-underflow")],
+    ids=lambda v: getattr(v, "value", ""),
 )
 def test_edge_grid_masks_match_scalar_messages(method, axes, constraints, prefixes):
     grid = SweepGrid(method, axes, constraints)
@@ -244,6 +247,7 @@ def test_writers_match_per_row_writers_on_default_grids(method):
 
 WRITER_GRIDS = [
     *((method, axes, constraints) for method, axes, constraints, _ in EDGE_GRIDS),
+    pytest.param(*OM_CC_UNDERFLOW[:3], id="om_amplitude-cc-underflow"),
     # -0.0 in both axes, in ok and skipped rows; linspace ends exactly at hi
     (Method.BEAM_SPLITTER, (Axis("b", -1.0, -0.0, 3), Axis("theta", -1.0, -0.0, 3)), {}),
     (Method.BEAM_SPLITTER, (), {}),  # one row, no axes: empty "values"
