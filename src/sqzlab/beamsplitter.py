@@ -39,13 +39,16 @@ class BsParams:
     b: float
     theta: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.b):
-            raise DomainError(_B_FINITE.format(self.b))
-        if abs(self.b) > B_MAX:
-            raise DomainError(_B_RANGE.format(self.b))
-        if not 0.0 <= self.theta <= HALF_PI:
-            raise DomainError(_THETA_RANGE.format(self.theta))
+    def __init__(self, b: float, theta: float) -> None:
+        if not math.isfinite(b):
+            raise DomainError(_B_FINITE.format(b))
+        if abs(b) > B_MAX:
+            raise DomainError(_B_RANGE.format(b))
+        if not 0.0 <= theta <= HALF_PI:
+            raise DomainError(_THETA_RANGE.format(theta))
+        d = self.__dict__
+        d["b"] = b
+        d["theta"] = theta
 
 
 def _outputs(e_minus, e_plus, cos, sin):

@@ -14,6 +14,13 @@ All functions here are pure and safe to call concurrently. Column
 evaluators (the array forms of the evaluators, which sweeps use) record a
 skipped row in a Skips object with the message the scalar evaluator
 raises; MAX_GRID_POINTS bounds the rows of one sweep or time grid.
+
+The value types are frozen dataclasses whose __init__ is written out: it
+runs every check on the arguments, raising DomainError before any field
+is stored, and then stores the fields straight into the instance
+__dict__, which costs less than the generated __init__'s
+object.__setattr__ per field. Fields, defaults, eq, hash, repr,
+dataclasses.replace and pickling are those of the dataclass.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 MAX_GRID_POINTS = 2_000_000
 
 _FINITE_POSITIVE = "{} must be finite and positive, got {!r}"
+_PRODUCT = "var_x*var_p must be finite, got {!r}"
 _ALPHA_SQ = "alpha_sq must be finite and >= 0, got {!r}"
 
 
@@ -54,9 +62,15 @@ class Regime(enum.Enum):
     AMPLITUDE_SQUEEZING = "amplitude"
 
 
-def _require_finite_positive(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(_FINITE_POSITIVE.format(name, value))
+class _Factory:
+    """Default of a field filled by its default_factory; prints as the
+    generated __init__'s default does in a signature."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
 
 
 @dataclass(frozen=True)
@@ -66,9 +80,16 @@ class QuadratureStats:
     var_x: float
     var_p: float
 
-    def __post_init__(self) -> None:
-        _require_finite_positive("var_x", self.var_x)
-        _require_finite_positive("var_p", self.var_p)
+    def __init__(self, var_x: float, var_p: float) -> None:
+        if not math.isfinite(var_x) or var_x <= 0.0:
+            raise DomainError(_FINITE_POSITIVE.format("var_x", var_x))
+        if not math.isfinite(var_p) or var_p <= 0.0:
+            raise DomainError(_FINITE_POSITIVE.format("var_p", var_p))
+        if var_x * var_p == math.inf:
+            raise DomainError(_PRODUCT.format(var_x * var_p))
+        d = self.__dict__
+        d["var_x"] = var_x
+        d["var_p"] = var_p
 
 
 @dataclass(frozen=True)
@@ -94,9 +115,18 @@ class MethodPoint:
     stats: QuadratureStats
     params: Mapping[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha_sq) or self.alpha_sq < 0.0:
-            raise DomainError(_ALPHA_SQ.format(self.alpha_sq))
+    def __init__(
+        self,
+        alpha_sq: float,
+        stats: QuadratureStats,
+        params: Mapping[str, object] = _FACTORY,
+    ) -> None:
+        if not math.isfinite(alpha_sq) or alpha_sq < 0.0:
+            raise DomainError(_ALPHA_SQ.format(alpha_sq))
+        d = self.__dict__
+        d["alpha_sq"] = alpha_sq
+        d["stats"] = stats
+        d["params"] = {} if params is _FACTORY else params
 
     @property
     def uncertainty(self) -> float:
@@ -143,12 +173,15 @@ class Skips:
     def outputs(self, alpha_sq, var_x, var_p) -> tuple[np.ndarray, ...]:
         """The QuadratureStats and MethodPoint checks, then the table columns
         (alpha_sq, var_x, var_p, ok, reason), NaN where a row is skipped."""
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             for name, v in (("var_x", var_x), ("var_p", var_p)):
                 self.check(
                     (abs(v) < math.inf) & (v > 0.0),
                     functools.partial(_FINITE_POSITIVE.format, name), v,
                 )
+            product = var_x * var_p
+            self.check(product != math.inf, _PRODUCT.format, product)
+            del product  # a grid-sized column: free it before the outputs are built
             finite = abs(alpha_sq) < math.inf
             self.check(finite & (alpha_sq >= 0.0), _ALPHA_SQ.format, alpha_sq)
         return (

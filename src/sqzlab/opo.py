@@ -33,6 +33,8 @@ alpha_sq = ((e_s + A_s)/e_p)^2.
 `opo_evaluate` (one point) and `opo_columns` (a sweep's columns) share
 each formula, with math.cbrt in both; the column form records a failed
 check as a skipped row with the message the scalar form raises.
+`opo_evaluate` takes the residual-checked steady state as plain floats and
+builds no OpoSteadyState; `opo_steady_state` returns the same values as one.
 """
 
 from __future__ import annotations
@@ -66,11 +68,17 @@ class OpoParams:
     seed_ratio: float
     regime: Regime = Regime.PHASE_SQUEEZING
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.c0 < 1.0:
-            raise DomainError(_C0_RANGE.format(self.c0))
-        if not math.isfinite(self.seed_ratio) or self.seed_ratio < 0.0:
-            raise DomainError(_SEED_RANGE.format(self.seed_ratio))
+    def __init__(
+        self, c0: float, seed_ratio: float, regime: Regime = Regime.PHASE_SQUEEZING
+    ) -> None:
+        if not 0.0 < c0 < 1.0:
+            raise DomainError(_C0_RANGE.format(c0))
+        if not math.isfinite(seed_ratio) or seed_ratio < 0.0:
+            raise DomainError(_SEED_RANGE.format(seed_ratio))
+        d = self.__dict__
+        d["c0"] = c0
+        d["seed_ratio"] = seed_ratio
+        d["regime"] = regime
 
 
 @dataclass(frozen=True)
@@ -128,13 +136,20 @@ def _pump(a_s, e_s, e_p):
     return a_p, abs(r_s), abs(r_p)
 
 
-def opo_steady_state(params: OpoParams) -> OpoSteadyState:
-    """Solve for the intracavity amplitudes; residual-checked."""
-    e_s, e_p = _drives(params.c0, params.seed_ratio, params.regime)
+def _steady_state(c0: float, seed_ratio: float, regime: Regime) -> tuple[float, ...]:
+    """(a_s, a_p, chi, e_s, e_p) of the steady state; residual-checked."""
+    e_s, e_p = _drives(c0, seed_ratio, regime)
     a_s, chi = _solve_cubic(e_s, e_p)
     a_p, r_s, r_p = _pump(a_s, e_s, e_p)
-    if max(r_s, r_p) > _RESIDUAL_TOL:
-        raise BranchError(_RESIDUAL.format(max(r_s, r_p), params.c0, params.seed_ratio))
+    residual = r_p if r_p > r_s else r_s  # max(r_s, r_p), NaN handling included
+    if residual > _RESIDUAL_TOL:
+        raise BranchError(_RESIDUAL.format(residual, c0, seed_ratio))
+    return a_s, a_p, chi, e_s, e_p
+
+
+def opo_steady_state(params: OpoParams) -> OpoSteadyState:
+    """Solve for the intracavity amplitudes; residual-checked."""
+    a_s, a_p, chi, e_s, e_p = _steady_state(params.c0, params.seed_ratio, params.regime)
     return OpoSteadyState(a_s=a_s, a_p=a_p, chi=chi, seed_in=e_s, pump_in=e_p)
 
 
@@ -149,16 +164,13 @@ def _outputs(a_s, a_p, e_s, e_p):
 
 def opo_evaluate(params: OpoParams) -> MethodPoint:
     """Exact output point from the residual-checked steady state."""
-    ss = opo_steady_state(params)
-    alpha_sq, var_x, var_p = _outputs(ss.a_s, ss.a_p, ss.seed_in, ss.pump_in)
+    c0, seed_ratio, regime = params.c0, params.seed_ratio, params.regime
+    a_s, a_p, _, e_s, e_p = _steady_state(c0, seed_ratio, regime)
+    alpha_sq, var_x, var_p = _outputs(a_s, a_p, e_s, e_p)
     return MethodPoint(
-        alpha_sq=alpha_sq,
-        stats=QuadratureStats(var_x, var_p),
-        params={
-            "c0": params.c0,
-            "seed_ratio": params.seed_ratio,
-            "regime": params.regime.value,
-        },
+        alpha_sq,
+        QuadratureStats(var_x, var_p),
+        {"c0": c0, "seed_ratio": seed_ratio, "regime": regime.value},
     )
 
 

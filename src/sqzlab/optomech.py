@@ -48,15 +48,26 @@ class OmParams:
     n_bar: float = 0.0
     axis: SqueezedAxis = SqueezedAxis.AMPLITUDE
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.cc) or self.cc <= 0.0:
-            raise DomainError(_CC.format(self.cc))
-        if not math.isfinite(self.dd) or self.dd < 0.0:
-            raise DomainError(_DD.format(self.dd))
-        if not math.isfinite(self.n_bar) or self.n_bar < 0.0:
-            raise DomainError(_N_BAR.format(self.n_bar))
-        if self.cc * self.dd > 1.0:
-            raise DomainError(_CC_DD.format(self.cc * self.dd))
+    def __init__(
+        self,
+        cc: float,
+        dd: float,
+        n_bar: float = 0.0,
+        axis: SqueezedAxis = SqueezedAxis.AMPLITUDE,
+    ) -> None:
+        if not math.isfinite(cc) or cc <= 0.0:
+            raise DomainError(_CC.format(cc))
+        if not math.isfinite(dd) or dd < 0.0:
+            raise DomainError(_DD.format(dd))
+        if not math.isfinite(n_bar) or n_bar < 0.0:
+            raise DomainError(_N_BAR.format(n_bar))
+        if cc * dd > 1.0:
+            raise DomainError(_CC_DD.format(cc * dd))
+        d = self.__dict__
+        d["cc"] = cc
+        d["dd"] = dd
+        d["n_bar"] = n_bar
+        d["axis"] = axis
 
 
 def _outputs(cc, dd, n_bar, axis: SqueezedAxis):
@@ -83,14 +94,9 @@ def om_evaluate(params: OmParams) -> MethodPoint:
         *_, reason = om_columns(*row, params.axis)
         raise DomainError(reason[0]) from None
     return MethodPoint(
-        alpha_sq=alpha_sq,
-        stats=QuadratureStats(var_x, var_p),
-        params={
-            "cc": cc,
-            "dd": dd,
-            "n_bar": params.n_bar,
-            "axis": params.axis.value,
-        },
+        alpha_sq,
+        QuadratureStats(var_x, var_p),
+        {"cc": cc, "dd": dd, "n_bar": params.n_bar, "axis": params.axis.value},
     )
 
 

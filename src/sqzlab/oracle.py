@@ -1,6 +1,6 @@
 """Brute-force validators independent of the closed-form evaluators.
 
-Three small engines live here:
+Four small engines live here:
 
 * a symplectic Gaussian-state simulator (squeeze, displace, beam-splitter)
   used to cross-check the beam-splitter evaluator,
@@ -9,7 +9,10 @@ Three small engines live here:
 * a fixed-step RK4 integrator for the amplifier's linearized noise
   covariance (dV/dt = M V + V M^T per quadrature sector, mean fields taken
   from the closed form), used to cross-check the closed-form covariance
-  of `sqzlab.opa` and behind `opa_propagate(..., check_steps=True)`.
+  of `sqzlab.opa` and behind `opa_propagate(..., check_steps=True)`, and
+* for the OPO, a bisection for the steady state and the zero-frequency
+  input-output map of the linearized cavity (Gardiner & Collett, PRA 31,
+  3761 (1985)), used to cross-check `sqzlab.opo`.
 
 They are shipped (not test-only) so every published number can be
 reproduced from the installed package.
@@ -27,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID_POINTS, DomainError
+from .core import MAX_GRID_POINTS, DomainError, Regime
 from .opa import mean_fields
+
+OPO_BISECT_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -248,3 +253,58 @@ def opa_covariance_gap(
         ref = cov[:, [0, 0, 1], [0, 1, 1]]  # (ss, sp, pp)
         gap = max(gap, float(np.max(np.abs(rk4 - ref) / scale)))
     return gap
+
+
+def opo_steady_state_bisect(
+    c0: np.ndarray, seed_ratio: np.ndarray, regime: Regime
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OPO steady state by bisection: (a_s, a_p, alpha_sq) per (c0, seed_ratio).
+
+    In the chart kappa = g = 1 the drives are e_p = -c0/4 (amplifying) or
+    +c0/4 (deamplifying) and e_s = seed_ratio |e_p|. The intracavity seed
+    A is the real root of f(A) = A^3 + pA + q, p = (1 + 4 e_p)/2 > 0,
+    q = e_s >= 0. f increases, f(0) = q >= 0 and f(-m) < 0 for
+    m = 2 min(q/p, cbrt(q)), so [-m, 0] brackets the root; every step
+    halves it in double precision, and OPO_BISECT_STEPS steps shrink it
+    below one ulp of the root. Then A_p = -A^2 - 2 e_p and
+    alpha_sq = ((e_s + A)/e_p)^2.
+    """
+    c0 = np.asarray(c0, dtype=float)
+    pump = (-c0 if regime is Regime.PHASE_SQUEEZING else c0) / 4.0
+    seed = np.asarray(seed_ratio, dtype=float) * np.abs(pump)
+    p = (1.0 + 4.0 * pump) / 2.0
+    lo = -2.0 * np.minimum(seed / p, np.cbrt(seed))
+    hi = np.zeros_like(lo)
+    for _ in range(OPO_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        above = mid * mid * mid + p * mid + seed > 0.0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    a_s = 0.5 * (lo + hi)
+    gain = (seed + a_s) / pump
+    return a_s, -a_s * a_s - 2.0 * pump, gain * gain
+
+
+def opo_output_variances(a_s: np.ndarray, a_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(var_x, var_p) of the OPO output at zero frequency from its steady state.
+
+    The linearized cavity has drift matrices, on (signal, pump) quadratures,
+
+        M_x = [[-1/2 + A_p, A_s], [-A_s, -1/2]]
+        M_p = [[-1/2 - A_p, A_s], [-A_s, -1/2]]
+
+    and vacuum inputs; the output quadratures are T = I + M^{-1} times the
+    inputs, so their covariance is V = T T^T and the signal's variance is
+    V[0, 0].
+    """
+    a_s, a_p = np.broadcast_arrays(np.asarray(a_s, float), np.asarray(a_p, float))
+    out = []
+    for sign in (1.0, -1.0):
+        m = np.empty(a_s.shape + (2, 2))
+        m[..., 0, 0] = -0.5 + sign * a_p
+        m[..., 0, 1] = a_s
+        m[..., 1, 0] = -a_s
+        m[..., 1, 1] = -0.5
+        t = np.eye(2) + np.linalg.inv(m)
+        out.append(np.einsum("...ij,...ij->...i", t, t)[..., 0])
+    return out[0], out[1]

@@ -347,8 +347,10 @@ def test_point_opa_huge_tau_is_bounded(capsys):
          "alpha_sq must be finite and >= 0, got inf"),
         (("sweep", "--method", "bs", "--axis", "b=0:400:3", "--axis", "theta=0:1:3",
           "--out", "-"), None),
+        (("point", "om", "--cc", "1", "--dd", "0.5", "--nbar", "1e160"),
+         "var_x*var_p must be finite, got inf"),
     ],
-    ids=["bs-overflow", "om-underflow", "bs-sweep-overflow"],
+    ids=["bs-overflow", "om-underflow", "bs-sweep-overflow", "om-product-overflow"],
 )
 def test_overflow_and_underflow_are_domain_errors(argv, message):
     proc = cli_subprocess(*argv)
@@ -361,6 +363,20 @@ def test_overflow_and_underflow_are_domain_errors(argv, message):
     else:
         assert proc.returncode == 2
         assert message in proc.stderr
+
+
+def test_sweep_skips_om_rows_whose_uncertainty_overflows_without_warning():
+    proc = cli_subprocess(
+        "sweep", "--method", "om_amplitude", "--axis", "cc=0.5:1:2", "--axis", "dd=0.5:1:2",
+        "--axis", "n_bar=1e150:1e160:2", "--out", "-",
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = data_lines(proc.stdout)[1:]
+    skipped = [r for r in rows if ",1e+160," in r]
+    assert len(rows) == 8 and len(skipped) == 4
+    assert all(r.endswith(",skipped,var_x*var_p must be finite, got inf") for r in skipped)
+    assert all(",ok," in r for r in rows if r not in skipped)
 
 
 def test_sweep_spells_nonfinite_axis_values_per_format(capsys):

@@ -159,10 +159,22 @@ OM_CC_UNDERFLOW = (
     ("alpha_sq must be finite and >= 0, got inf",),
 )
 
+# var_x and var_p finite, their product not: uncertainty = inf was an ok row
+OM_PRODUCT_OVERFLOW = (
+    Method.OM_AMPLITUDE,
+    (Axis("cc", 0.5, 1.0, 2), Axis("dd", 0.5, 1.0, 2), Axis("n_bar", 1e150, 1e160, 2)),
+    {},
+    ("var_x*var_p must be finite, got inf",),
+)
+
 
 @pytest.mark.parametrize(
     "method, axes, constraints, prefixes",
-    [*EDGE_GRIDS, pytest.param(*OM_CC_UNDERFLOW, id="om_amplitude-cc-underflow")],
+    [
+        *EDGE_GRIDS,
+        pytest.param(*OM_CC_UNDERFLOW, id="om_amplitude-cc-underflow"),
+        pytest.param(*OM_PRODUCT_OVERFLOW, id="om_amplitude-product-overflow"),
+    ],
     ids=lambda v: getattr(v, "value", ""),
 )
 def test_edge_grid_masks_match_scalar_messages(method, axes, constraints, prefixes):
@@ -248,6 +260,7 @@ def test_writers_match_per_row_writers_on_default_grids(method):
 WRITER_GRIDS = [
     *((method, axes, constraints) for method, axes, constraints, _ in EDGE_GRIDS),
     pytest.param(*OM_CC_UNDERFLOW[:3], id="om_amplitude-cc-underflow"),
+    pytest.param(*OM_PRODUCT_OVERFLOW[:3], id="om_amplitude-product-overflow"),
     # -0.0 in both axes, in ok and skipped rows; linspace ends exactly at hi
     (Method.BEAM_SPLITTER, (Axis("b", -1.0, -0.0, 3), Axis("theta", -1.0, -0.0, 3)), {}),
     (Method.BEAM_SPLITTER, (), {}),  # one row, no axes: empty "values"

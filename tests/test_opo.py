@@ -7,6 +7,7 @@ from sqzlab.core import DomainError, Regime, uncertainty
 from sqzlab.opo import (
     BranchError,
     OpoParams,
+    _outputs,
     _solve_cubic,
     amplitude_cutoff_index,
     opo_evaluate,
@@ -24,6 +25,19 @@ def steady_residuals(ss):
     r_s = ss.a_s - (2.0 * ss.a_s * ss.a_p - 2.0 * ss.seed_in)
     r_p = ss.a_p - (-ss.a_s**2 - 2.0 * ss.pump_in)
     return max(abs(r_s), abs(r_p))
+
+
+@pytest.mark.parametrize("regime", [PHASE, AMP])
+def test_evaluate_equals_outputs_of_steady_state_bit_for_bit(regime):
+    # opo_evaluate solves the steady state without building an OpoSteadyState
+    for c0 in (0.05, 0.3, 0.6, 0.9, 0.995):
+        for seed in (0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0):
+            params = OpoParams(c0, seed, regime)
+            ss = opo_steady_state(params)
+            pt = opo_evaluate(params)
+            want = _outputs(ss.a_s, ss.a_p, ss.seed_in, ss.pump_in)
+            assert (pt.alpha_sq, pt.stats.var_x, pt.stats.var_p) == want
+            assert pt.params == {"c0": c0, "seed_ratio": seed, "regime": regime.value}
 
 
 @pytest.mark.parametrize("regime", [PHASE, AMP])

@@ -1,10 +1,14 @@
+import importlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from sqzlab.core import DomainError, Regime
+from sqzlab.frontier import Method, default_grid
 from sqzlab.opa import evolve, mean_fields
+from sqzlab.opo import OpoParams, opo_evaluate, opo_steady_state
 from sqzlab.oracle import (
     GaussianState,
     apply_beamsplitter,
@@ -15,9 +19,14 @@ from sqzlab.oracle import (
     mode_variances,
     opa_covariance_gap,
     opa_covariance_rk4,
+    opo_output_variances,
+    opo_steady_state_bisect,
     symplectic_form,
     vacuum,
 )
+
+# the package exports the function `frontier` under the module's name
+frontier_module = importlib.import_module("sqzlab.frontier")
 
 
 def test_vacuum_state():
@@ -150,3 +159,73 @@ def test_opa_closed_form_covariance_matches_rk4(regime):
         _, _, cov_x, cov_p = evolve(seeds[band], regime, times)
         for j in range(band.sum()):
             assert opa_covariance_gap(cov_x[j], cov_p[j], comp[:, :, j]) <= 1e-8
+
+
+OPO_GRIDS = [
+    (Method.OPO_PHASE, Regime.PHASE_SQUEEZING),
+    (Method.OPO_AMPLITUDE, Regime.AMPLITUDE_SQUEEZING),
+]
+
+
+def test_opo_bisection_solves_the_cubic():
+    c0 = np.array([0.1, 0.5, 0.95, 0.5])
+    seed = np.array([1e-3, 0.1, 2.0, 0.0])
+    for regime in Regime:
+        a_s, a_p, alpha_sq = opo_steady_state_bisect(c0, seed, regime)
+        e_p = (-c0 if regime is Regime.PHASE_SQUEEZING else c0) / 4.0
+        e_s = seed * np.abs(e_p)
+        # the steady-state pair A_s = 2 A_s A_p - 2 e_s, A_p = -A_s^2 - 2 e_p
+        assert np.allclose(a_s, 2.0 * a_s * a_p - 2.0 * e_s, rtol=0.0, atol=1e-15)
+        assert np.array_equal(a_p, -a_s * a_s - 2.0 * e_p)
+        assert np.array_equal(alpha_sq, ((e_s + a_s) / e_p) ** 2)
+        assert a_s[-1] == 0.0 and alpha_sq[-1] == 0.0
+
+
+@pytest.mark.parametrize("method, regime", OPO_GRIDS, ids=["phase", "amplitude"])
+def test_opo_evaluate_matches_bisection_on_default_grid(method, regime):
+    values = frontier_module.sweep(default_grid(method)).values
+    c0, seed = values["c0"], values["seed_ratio"]
+    a_s, _, alpha_sq = opo_steady_state_bisect(c0, seed, regime)
+    params = [OpoParams(c, s, regime) for c, s in zip(c0.tolist(), seed.tolist())]
+    got_a_s = np.array([opo_steady_state(p).a_s for p in params])
+    got = np.array([opo_evaluate(p).alpha_sq for p in params])
+    unseeded = seed == 0.0
+    assert np.all(got_a_s[unseeded] == 0.0) and np.all(got[unseeded] == 0.0)
+    # the root itself: measured 6.7e-16 in both regimes
+    assert np.max(np.abs(got_a_s / a_s - 1.0)[~unseeded]) < 1e-12
+    # alpha_sq = ((e_s + A_s)/e_p)^2, and e_s + A_s cancels where the output
+    # displacement turns through zero: a root error of a few ulps is then
+    # amplified by kappa = (|e_s| + |A_s|)/|e_s + A_s|, up to 1e6 on these
+    # grids. Measured: within 1e-12 except 3 (phase) and 10 (amplitude) rows,
+    # worst 1.5e-11 at kappa 1e6; the gap over kappa is at most 1.3e-15.
+    e_s = seed * c0 / 4.0
+    kappa = (e_s + np.abs(a_s)) / np.abs(e_s + a_s)
+    gap = np.abs(got / alpha_sq - 1.0)[~unseeded]
+    bound = 1e-12 + 32 * np.finfo(float).eps * kappa[~unseeded]
+    assert np.all(gap <= bound), np.max(gap / bound)
+
+
+# c0 in {0.1, 0.5, 0.95}, four seeds including 0, both regimes
+OPO_MAP_POINTS = list(itertools.product((0.1, 0.5, 0.95), (0.0, 1e-3, 0.1, 2.0), Regime))
+
+
+def test_opo_variances_match_input_output_map():
+    worst = 0.0
+    for c0, seed, regime in OPO_MAP_POINTS:
+        a_s, a_p, _ = opo_steady_state_bisect(np.array([c0]), np.array([seed]), regime)
+        var_x, var_p = opo_output_variances(a_s, a_p)
+        pt = opo_evaluate(OpoParams(c0, seed, regime))
+        for want, got in ((var_x[0], pt.stats.var_x), (var_p[0], pt.stats.var_p)):
+            worst = max(worst, abs(got / want - 1.0))
+    assert len(OPO_MAP_POINTS) == 24
+    assert worst < 1e-13  # measured 1.5e-14
+
+
+def test_opo_input_output_map_of_the_vacuum():
+    # unseeded, A_s = 0: the signal quadratures are squeezed by the pump alone
+    c0 = np.array([0.1, 0.5, 0.95])
+    for sign in (1.0, -1.0):  # A_p = -2 e_p: +c0/2 amplifying, -c0/2 deamplifying
+        var_x, var_p = opo_output_variances(np.zeros(3), sign * c0 / 2.0)
+        u = sign * c0
+        assert np.allclose(var_x, ((1.0 + u) / (1.0 - u)) ** 2, rtol=1e-14)
+        assert np.allclose(var_p, ((1.0 - u) / (1.0 + u)) ** 2, rtol=1e-14)
