@@ -6,7 +6,6 @@ point           evaluate one operating point of a method
 sweep           evaluate a parameter grid, emit CSV or JSON
 frontier        sweep + optimal-squeezing envelopes, emit CSV/JSON/SVG
 opa-trajectory  time series of one amplifier trajectory
-oracle          (hidden) brute-force cross-checks for debugging
 
 Exit codes: 0 success, 2 configuration or domain error, 3 numerical
 non-convergence. All file output is deterministic: rerunning an identical
@@ -48,21 +47,12 @@ from .frontier import (
     SweepTable,
     DEFAULT_THRESHOLDS,
     METHODS,
-    default_grid,
     frontier_suite,
     sweep,
 )
 from .opa import NonConvergenceError, OpaParams, opa_evaluate, opa_propagate
 from .opo import OpoParams, opo_evaluate
 from .optomech import OmParams, om_evaluate
-from .oracle import (
-    apply_beamsplitter,
-    apply_displacement,
-    apply_squeeze,
-    mean_field_ode,
-    mode_variances,
-    vacuum,
-)
 from .svg import frontier_svg
 
 EXIT_OK = 0
@@ -85,28 +75,29 @@ def _regime(name: str) -> Regime:
 # ---------------------------------------------------------------- config
 
 
-# the keys a config file may set; the matching flags override them
-CONFIG_KEYS = ("methods", "thresholds", "bins", "format", "out", "seed_cap", "axes")
-
-
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a key = value file; '#' starts a comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {path!r}: {reason}") from exc
     conf: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown key {key!r};"
-                    f" expected one of {', '.join(CONFIG_KEYS)}"
-                )
-            conf[key] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in SCHEMA:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key {key!r};"
+                f" expected one of {', '.join(SCHEMA)}"
+            )
+        conf[key] = value.strip()
     return conf
 
 
@@ -122,6 +113,11 @@ def parse_axis(spec: str) -> Axis:
             f"bad axis {spec!r}; expected name=lo:hi:count[:linear|log]"
         ) from exc
     return Axis(name.strip(), lo, hi, count, spacing)
+
+
+def parse_axes(spec: str) -> tuple[Axis, ...]:
+    """Axes joined by ';'."""
+    return tuple(parse_axis(s) for s in spec.split(";") if s.strip())
 
 
 def parse_bins(spec: str) -> LogBins:
@@ -161,6 +157,54 @@ def parse_methods(spec: str) -> list[Method]:
     if not out:
         raise ConfigError("methods list is empty")
     return out
+
+
+def parse_format(spec: str) -> str:
+    if spec not in ("csv", "json", "svg"):
+        raise ConfigError(f"unknown format {spec!r}; expected csv, json or svg")
+    return spec
+
+
+def parse_out(spec: str) -> str:
+    if not spec:
+        raise ConfigError("out must name a file, or '-' for stdout")
+    return spec
+
+
+def parse_seed_cap(spec: str) -> float:
+    try:
+        return float(spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad seed_cap {spec!r}") from exc
+
+
+# Each key a config file may set, in the order keys are parsed and listed:
+# its parser and its default text (None: unset unless given). The sweep and
+# frontier flags have the keys as their dests.
+SCHEMA: dict[str, tuple[Callable[[str], object], str | None]] = {
+    "methods": (parse_methods, None),
+    "thresholds": (parse_thresholds, ",".join(map(str, DEFAULT_THRESHOLDS))),
+    "bins": (parse_bins, "1e-6:1:200"),
+    "format": (parse_format, "csv"),
+    "out": (parse_out, None),
+    "seed_cap": (parse_seed_cap, None),
+    "axes": (parse_axes, None),
+}
+
+
+def _resolve_config(args: argparse.Namespace) -> tuple[dict[str, str], dict[str, object]]:
+    """The text and the parsed value of each key that is set: from the config
+    file, then from the flags given, then from the schema's defaults."""
+    raw = read_config_file(args.config) if args.config else {}
+    for key, (_, default) in SCHEMA.items():
+        flag = getattr(args, key)
+        if flag is not None:
+            raw[key] = ";".join(flag) if key == "axes" else flag
+        elif default is not None:
+            raw.setdefault(key, default)
+    return raw, {
+        key: parse(raw[key]) for key, (parse, _) in SCHEMA.items() if key in raw
+    }
 
 
 # ---------------------------------------------------------------- output
@@ -413,40 +457,10 @@ def cmd_point(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_frontier_config(args: argparse.Namespace) -> dict[str, str]:
-    conf: dict[str, str] = {}
-    if args.config:
-        conf.update(read_config_file(args.config))
-    if args.method:
-        conf["methods"] = args.method
-    if args.thresholds:
-        conf["thresholds"] = args.thresholds
-    if args.bins:
-        conf["bins"] = args.bins
-    if args.format:
-        conf["format"] = args.format
-    if args.out:
-        conf["out"] = args.out
-    if args.seed_cap is not None:
-        conf["seed_cap"] = str(args.seed_cap)
-    if args.axis:
-        conf["axes"] = ";".join(args.axis)
-    conf.setdefault("format", "csv")
-    conf.setdefault("thresholds", ",".join(str(t) for t in DEFAULT_THRESHOLDS))
-    conf.setdefault("bins", "1e-6:1:200")
-    return conf
-
-
-def _grid_for(method: Method, conf: dict[str, str]) -> SweepGrid:
-    try:
-        cap = float(conf["seed_cap"]) if "seed_cap" in conf else None
-    except ValueError as exc:
-        raise ConfigError(f"bad seed_cap {conf['seed_cap']!r}") from exc
-    if "axes" in conf:
-        axes = tuple(parse_axis(s) for s in conf["axes"].split(";") if s.strip())
-        constraints = {} if cap is None else {"seed_input_cap": cap}
-        return SweepGrid(method=method, axes=axes, constraints=constraints)
-    return default_grid(method, seed_input_cap=cap)
+def _grid_for(method: Method, conf: dict[str, object]) -> SweepGrid:
+    cap = conf.get("seed_cap")
+    constraints = {} if cap is None else {"seed_input_cap": cap}
+    return SweepGrid(method, conf.get("axes", METHODS[method].axes), constraints)
 
 
 def _echo(command: str, grid: SweepGrid, **fields: object) -> dict[str, object]:
@@ -465,42 +479,33 @@ def _echo(command: str, grid: SweepGrid, **fields: object) -> dict[str, object]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    conf = _resolve_frontier_config(args)
+    raw, conf = _resolve_config(args)
     if "methods" not in conf:
         raise ConfigError("sweep requires --method")
-    methods = parse_methods(conf["methods"])
-    if len(methods) != 1:
+    if len(conf["methods"]) != 1:
         raise ConfigError("sweep takes exactly one method")
-    method = methods[0]
+    if conf["format"] == "svg":
+        raise ConfigError("sweep cannot emit format 'svg'")
+    method = conf["methods"][0]
     grid = _grid_for(method, conf)
     records = sweep(grid)
-    echo = _echo("sweep", grid, format=conf["format"])
-    if conf["format"] == "json":
-        _write(args.out, sweep_json(method, records, echo))
-    elif conf["format"] == "csv":
-        _write(args.out, sweep_csv(method, records, echo))
-    else:
-        raise ConfigError(f"sweep cannot emit format {conf['format']!r}")
+    echo = _echo("sweep", grid, format=raw["format"])
+    write = sweep_json if conf["format"] == "json" else sweep_csv
+    _write(conf.get("out"), write(method, records, echo))
     return EXIT_OK
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
-    conf = _resolve_frontier_config(args)
+    raw, conf = _resolve_config(args)
     if "methods" not in conf:
         raise ConfigError("frontier requires --method or a config file with methods")
-    methods = parse_methods(conf["methods"])
-    thresholds = parse_thresholds(conf["thresholds"])
-    bins = parse_bins(conf["bins"])
-    fmt = conf["format"]
-    if fmt not in ("csv", "json", "svg"):
-        raise ConfigError(f"unknown format {fmt!r}")
-    out_base = conf.get("out")
+    methods, fmt, out_base = conf["methods"], conf["format"], conf.get("out")
     if out_base is None and len(methods) > 1:
         raise ConfigError("multi-method frontier requires out to name output files")
 
-    for method in methods:
-        grid = _grid_for(method, conf)
-        curves = frontier_suite(method, thresholds, grid, bins)
+    grids = [_grid_for(method, conf) for method in methods]  # all checked first
+    for method, grid in zip(methods, grids):
+        curves = frontier_suite(method, conf["thresholds"], grid, conf["bins"])
         if all(len(c.points) == 0 for c in curves):
             print(
                 f"warning: empty feasible set for {method.value} at all thresholds",
@@ -508,7 +513,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
             )
         echo = _echo(
             "frontier", grid,
-            thresholds=conf["thresholds"], bins=conf["bins"], format=fmt,
+            thresholds=raw["thresholds"], bins=raw["bins"], format=fmt,
         )
         if len(methods) == 1:
             path = out_base
@@ -561,28 +566,6 @@ def cmd_opa_trajectory(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.target == "bs":
-        state = vacuum(2)
-        state = apply_squeeze(state, 0, args.b)
-        state = apply_displacement(state, 1, args.amp)
-        state = apply_beamsplitter(state, 0, 1, args.theta)
-        vx, vp = mode_variances(state, 0)
-        print(f"var_x = {vx:.12g}")
-        print(f"var_p = {vp:.12g}")
-        print(f"mean_x = {state.mean[0]:.12g}")
-        print(f"mean_p = {state.mean[1]:.12g}")
-    else:
-        pump = 1.0 if args.regime == "phase" else -1.0
-        _, a_s, a_p, err = mean_field_ode(
-            args.seed_ratio, pump, args.t_max, args.n_steps or 4096
-        )
-        print(f"a_s_final = {a_s[-1]:.12g}")
-        print(f"a_p_final = {a_p[-1]:.12g}")
-        print(f"step_halving_error = {err:.3e}")
-    return EXIT_OK
-
-
 # --------------------------------------------------------------- parser
 
 
@@ -593,9 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         "squeezed-light sources.",
     )
     parser.add_argument("--version", action="version", version=f"sqzlab {__version__}")
-    sub = parser.add_subparsers(
-        dest="cmd", metavar="{point,sweep,frontier,opa-trajectory}"
-    )
+    sub = parser.add_subparsers(dest="cmd")
 
     p_point = sub.add_parser("point", help="evaluate one operating point")
     p_point.add_argument("method", choices=("bs", "opo", "opa", "om"))
@@ -613,16 +594,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
-    common.add_argument("--method", help="method name(s), comma separated")
     common.add_argument(
-        "--axis", action="append",
+        "--method", dest="methods", help="method name(s), comma separated"
+    )
+    common.add_argument(
+        "--axis", dest="axes", action="append",
         help="axis as name=lo:hi:count[:linear|log]; repeatable",
     )
     common.add_argument("--thresholds", help="comma-separated uncertainty ceilings")
     common.add_argument("--bins", help="alpha_sq bins as lo:hi:count (log spaced)")
-    common.add_argument("--format", choices=("csv", "json", "svg"))
+    common.add_argument("--format", help="csv, json or svg")
     common.add_argument("--out", help="output path ('-' = stdout)")
-    common.add_argument("--seed-cap", dest="seed_cap", type=float, default=None)
+    common.add_argument("--seed-cap", dest="seed_cap")
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="evaluate a parameter grid"
@@ -652,18 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_traj.add_argument("--out", default="-")
     p_traj.set_defaults(fn=cmd_opa_trajectory)
-
-    # undocumented debugging hook; omitted from the subcommand metavar above
-    p_oracle = sub.add_parser("oracle")
-    p_oracle.add_argument("target", choices=("bs", "opa"))
-    p_oracle.add_argument("--b", type=float, default=0.0)
-    p_oracle.add_argument("--theta", type=float, default=0.0)
-    p_oracle.add_argument("--amp", type=float, default=1.0)
-    p_oracle.add_argument("--seed-ratio", dest="seed_ratio", type=float, default=0.0)
-    p_oracle.add_argument("--regime", default="phase", choices=("phase", "amplitude"))
-    p_oracle.add_argument("--t-max", dest="t_max", type=float, default=2.0)
-    p_oracle.add_argument("--n-steps", dest="n_steps", type=int, default=0)
-    p_oracle.set_defaults(fn=cmd_oracle)
 
     return parser
 

@@ -211,6 +211,8 @@ class LogBins:
     def __post_init__(self) -> None:
         if not 0.0 < self.lo < self.hi < math.inf or self.count < 1:
             raise ConfigError("bins need 0 < lo < hi < inf and count >= 1")
+        if self.count > MAX_GRID_POINTS:
+            raise ConfigError(f"{self.count} bins exceed the limit of {MAX_GRID_POINTS}")
 
     def edges(self) -> np.ndarray:
         return np.logspace(math.log10(self.lo), math.log10(self.hi), self.count + 1)

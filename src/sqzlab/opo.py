@@ -75,6 +75,8 @@ class OpoParams:
             raise DomainError(_C0_RANGE.format(c0))
         if not math.isfinite(seed_ratio) or seed_ratio < 0.0:
             raise DomainError(_SEED_RANGE.format(seed_ratio))
+        if not isinstance(regime, Regime):
+            raise DomainError(f"regime must be a Regime, got {regime!r}")
         d = self.__dict__
         d["c0"] = c0
         d["seed_ratio"] = seed_ratio

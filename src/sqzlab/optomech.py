@@ -63,6 +63,8 @@ class OmParams:
             raise DomainError(_N_BAR.format(n_bar))
         if cc * dd > 1.0:
             raise DomainError(_CC_DD.format(cc * dd))
+        if not isinstance(axis, SqueezedAxis):
+            raise DomainError(f"axis must be a SqueezedAxis, got {axis!r}")
         d = self.__dict__
         d["cc"] = cc
         d["dd"] = dd
@@ -147,10 +149,10 @@ def cooperativity_for_alpha_sq(dd: float, alpha_sq: float) -> float:
     alpha_sq decreases monotonically from +inf at cc -> 0 to 0 at
     cc = 1/dd, so the root is unique.
     """
-    if dd <= 0.0:
-        raise DomainError(f"dd must be > 0, got {dd!r}")
-    if alpha_sq <= 0.0:
-        raise DomainError(f"alpha_sq must be > 0, got {alpha_sq!r}")
+    if not 0.0 < dd < math.inf:
+        raise DomainError(f"dd must be finite and > 0, got {dd!r}")
+    if not 0.0 < alpha_sq < math.inf:
+        raise DomainError(f"alpha_sq must be finite and > 0, got {alpha_sq!r}")
 
     def f(cc: float) -> float:
         return (1.0 - cc * dd) ** 3 / (2.0 * cc * cc * (1.0 + dd * dd)) - alpha_sq

@@ -8,9 +8,10 @@ import xml.dom.minidom
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sqzlab.cli import main, parse_axis, parse_bins, parse_thresholds, points_from_json, read_config_file
-from sqzlab.frontier import ConfigError, LogBins, frontier, ok_points, sweep
+from sqzlab.frontier import METHODS, ConfigError, LogBins, Method, frontier, ok_points, sweep
 
 
 def run(capsys, *argv):
@@ -236,22 +237,6 @@ def test_opa_trajectory_nonconvergence_exit_code(capsys):
     assert "n_steps" in err
 
 
-def test_oracle_subcommand_hidden_but_working(capsys):
-    code, out, _ = run(capsys, "oracle", "bs", "--b", "1", "--theta", "0.785398163")
-    assert code == 0
-    assert grab(out, "var_x") == pytest.approx(0.5676676416183064, rel=1e-9)
-    code, out, _ = run(capsys, "oracle", "opa", "--seed-ratio", "0.1", "--t-max", "2")
-    assert code == 0
-    assert grab(out, "a_s_final") > 0.1  # amplifying by default
-    # the help text does not advertise it
-    help_text = subprocess.run(
-        [sys.executable, "-m", "sqzlab.cli", "--help"],
-        capture_output=True, text=True,
-    ).stdout
-    assert "opa-trajectory" in help_text
-    assert "oracle" not in help_text
-
-
 def test_all_emitted_numbers_finite(tmp_path, capsys):
     out = tmp_path / "om.csv"
     code, _, _ = run(
@@ -443,3 +428,137 @@ def test_infinite_bin_edge_exits_2():
     assert proc.returncode == 2
     assert "bins need" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, conf_text, message",
+    [
+        (("sweep", "--method", "bs", "--format", "xml"), None, "unknown format 'xml'"),
+        (("frontier", "--method", "bs", "--format", "xml"), None, "unknown format 'xml'"),
+        (("sweep", "--method", "bs", "--format", "svg"), None,
+         "sweep cannot emit format 'svg'"),
+        (("sweep", "--method", "opa_phase", "--seed-cap", "abc"), None,
+         "bad seed_cap 'abc'"),
+        (("sweep", "--method", "bs", "--out", ""), None, "out must name a file"),
+        (("sweep",), "methods = bs\nbins = 1e-6:1\n", "bad bins '1e-6:1'"),
+        (("sweep", "--method", "bs", "--config", "missing.conf"), None,
+         "cannot read config file 'missing.conf': No such file or directory"),
+    ],
+    ids=["sweep-format", "frontier-format", "sweep-svg", "seed-cap", "empty-out",
+         "sweep-bad-bins", "missing-config"],
+)
+def test_schema_rejects_bad_values_before_sweeping(
+    tmp_path, capsys, monkeypatch, argv, conf_text, message
+):
+    monkeypatch.chdir(tmp_path)
+    for module in ("sqzlab.cli", "sqzlab.frontier"):
+        monkeypatch.setattr(importlib.import_module(module), "sweep", None)
+    if conf_text is not None:
+        (tmp_path / "run.conf").write_text(conf_text)
+        argv += ("--config", "run.conf")
+    code, out, err = run(capsys, *argv, "--axis", "b=0:1:2", "--axis", "theta=0:1:2")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_multi_method_frontier_checks_every_grid_before_writing(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "frontier", "--method", "bs,om_phase", "--axis", "b=0:1:2",
+        "--axis", "theta=0.1:1:2", "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "unknown parameter 'b' for method om_phase" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_writes_to_the_config_files_out(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"methods = bs\nout = {tmp_path / 'bs.csv'}\naxes = b=0:1:2;theta=0:1:2\n")
+    code, out, _ = run(capsys, "sweep", "--config", str(conf))
+    assert (code, out) == (0, "")
+    assert len(data_lines((tmp_path / "bs.csv").read_text())) == 5
+
+
+# Generated sweep/frontier runs: a valid run, every key a flag or a config
+# line, and in about half the runs one key or line made malformed. Axes are
+# always set, at most 4 values each, so no run falls back to a full default grid.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)
+_VALID = {
+    "thresholds": st.lists(st.sampled_from(("1", "1.1", "2", "inf")), min_size=1, max_size=4)
+    .map(",".join),
+    "bins": st.builds("{}:{}:{}".format, st.sampled_from(("1e-6", "1e-3")),
+                      st.sampled_from(("1", "10")), st.integers(1, 50)),
+    "format": st.sampled_from(("csv", "json", "svg")),
+    "out": st.sampled_from(("run.out", "sub/run")),
+    "seed_cap": st.sampled_from(("1", "0.01", "inf")),
+}
+_MALFORMED = {
+    "methods": ("", "xyz", "bs,,q"),
+    "thresholds": ("", "0.5", "nan", "1;2"),
+    "bins": ("0:1:5", "1e-6:inf:5", "1e-6:1:0", "1e-6:1", "1:1e-6:5"),
+    "format": ("xml", ""),
+    "out": ("",),
+    "seed_cap": ("nan", "abc", ""),
+    "axes": ("q=0.1:1:2", "b=0:1", "tau=1:0:3", "c0=0:1:x", "cc=-1:1:2:log"),
+    "line": ("threshold = 2", "no equals sign", "axes"),
+}
+_FLAGS = {"methods": "--method", "thresholds": "--thresholds", "bins": "--bins",
+          "format": "--format", "out": "--out", "seed_cap": "--seed-cap"}
+
+
+def _axis(name):
+    return st.builds(
+        "{}={}:{}:{}{}".format, st.just(name), st.sampled_from(("0.1", "0.5")),
+        st.sampled_from(("0.9", "2")), st.integers(2, 4),
+        st.sampled_from(("", ":linear", ":log")),
+    )
+
+
+@st.composite
+def _runs(draw):
+    command = draw(st.sampled_from(("sweep", "frontier")))
+    spec = METHODS[draw(st.sampled_from(list(Method)))]
+    family = [m.value for m, s in METHODS.items() if s.params == spec.params]
+    methods = draw(st.lists(st.sampled_from(family), min_size=1, max_size=2, unique=True))
+    names = draw(st.lists(st.sampled_from(spec.params), unique=True))
+    names = list(dict.fromkeys([*spec.required, *names]))
+    text = {"methods": ",".join(methods)}
+    text |= {key: draw(strategy) for key, strategy in _VALID.items()}
+    text["axes"] = ";".join(draw(_axis(name)) for name in names)
+    if command == "sweep" and text["format"] == "svg":
+        text["format"] = "csv"
+    lines = ["# generated"]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(list(_MALFORMED)))
+        bad = draw(st.one_of(st.sampled_from(_MALFORMED[key]), _TEXT))
+        if key == "line":
+            lines.append(bad)
+        else:
+            text[key] = bad
+    argv = [command]
+    for key, value in text.items():
+        if key == "axes" and draw(st.booleans()):
+            argv += [arg for spec in value.split(";") for arg in ("--axis", spec)]
+        elif key != "axes" and draw(st.booleans()):
+            argv += [_FLAGS[key], value]
+        else:
+            lines.append(f"{key} = {value}")
+    return argv, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_runs())
+def test_generated_runs_keep_the_exit_contract(tmp_path, capsys, monkeypatch, run_spec):
+    argv, conf_text = run_spec
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(conf_text, encoding="utf-8")
+    try:
+        with np.errstate(all="ignore"):
+            code = main([*argv, "--config", "run.conf"])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+        assert code == 2
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err

@@ -418,10 +418,10 @@ def _limited() -> None:
         ("opa-trajectory", "--seed-ratio", "0.1", "--t-max", "1e9"),
         ("opa-trajectory", "--seed-ratio", "0.1", "--n-steps", "1000000000000"),
         ("opa-trajectory", "--seed-ratio", "0.1", "--t-max", "inf"),
-        ("oracle", "opa", "--seed-ratio", "0.1", "--n-steps", "1000000000"),
+        ("frontier", "--method", "bs", "--bins", "1e-6:1:1000000000", "--out", "-"),
     ],
     ids=["sweep", "frontier", "trajectory-t-max", "trajectory-n-steps", "trajectory-inf",
-         "oracle-n-steps"],
+         "frontier-bins"],
 )
 def test_work_cap_exits_2(argv):
     proc = subprocess.run(

@@ -162,6 +162,13 @@ def test_c0_domain():
         OpoParams(0.5, -0.1)
 
 
+@pytest.mark.parametrize("regime", ["amplitude", "phase", None, 1])
+def test_regime_must_be_the_enum(regime):
+    # a string used to solve the phase regime silently
+    with pytest.raises(DomainError, match="regime must be a Regime"):
+        OpoParams(0.5, 0.1, regime)
+
+
 def test_branch_error_above_threshold():
     # above threshold the pump term flips p negative and the root branch
     # can leave the real axis; the solver must refuse, not switch

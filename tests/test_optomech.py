@@ -77,6 +77,22 @@ def test_leading_order_zeroth_order():
     assert stats.var_p == pytest.approx(2.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("axis", ["amplitude", "phase", None, 0])
+def test_axis_must_be_the_enum(axis):
+    with pytest.raises(DomainError, match="axis must be a SqueezedAxis"):
+        OmParams(1.0, 0.5, 0.0, axis)
+
+
+@pytest.mark.parametrize(
+    "dd, alpha_sq",
+    [(0.5, math.nan), (math.nan, 0.1), (0.5, math.inf), (math.inf, 0.1),
+     (0.0, 0.1), (0.5, 0.0), (-0.5, 0.1), (0.5, -1.0)],
+)
+def test_cooperativity_inversion_rejects_nan_and_out_of_range(dd, alpha_sq):
+    with pytest.raises(DomainError):
+        cooperativity_for_alpha_sq(dd, alpha_sq)
+
+
 def test_leading_order_flat_at_unit_asymmetry():
     stats = om_leading_order(OmParams(1.0, 1.0), 0.37)
     assert stats.var_x == pytest.approx(1.0, rel=1e-15)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sqzlab.core import DomainError, Regime
+from sqzlab.core import MAX_GRID_POINTS, DomainError, Regime
 from sqzlab.frontier import Method, default_grid
 from sqzlab.opa import evolve, mean_fields
 from sqzlab.opo import OpoParams, opo_evaluate, opo_steady_state
@@ -136,6 +136,11 @@ def test_mean_field_ode_conservation():
     _, a_s, a_p, _ = mean_field_ode(seed, pump, 5.0, 4096)
     drift = np.abs(a_s**2 / 2.0 + a_p**2 - c1).max()
     assert drift < 1e-10 * 5.0  # spec: < 1e-10 per unit time
+
+
+def test_mean_field_ode_step_cap_is_checked_before_the_loop():
+    with pytest.raises(DomainError, match="limit"):
+        mean_field_ode(0.1, 1.0, 2.0, MAX_GRID_POINTS + 1)
 
 
 @pytest.mark.parametrize("seed", [0.01, 0.1, 0.5])
