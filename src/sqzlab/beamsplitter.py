@@ -12,7 +12,8 @@ mixing angle. Squeezing degrades linearly in alpha_sq while the overall
 uncertainty grows as sqrt(1 + 4 alpha_sq (1 - alpha_sq) sinh^2 b).
 
 `bs_evaluate` (one point) and `bs_columns` (a sweep's columns) share one
-formula; exp, cos and sin are libm's in both.
+formula; exp, cos and sin are libm's in both. The column form calls them
+once per distinct b and theta value, as a grid repeats each over many rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, MethodPoint, QuadratureStats, Skips, mapped
+from .core import DomainError, MethodPoint, QuadratureStats, Skips, distinct, mapped
 
 HALF_PI = math.pi / 2.0
 B_MAX = math.log(sys.float_info.max) / 2.0  # the largest |b| with e^(2|b|) finite
@@ -75,10 +76,11 @@ def bs_columns(b: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
         skips.check(abs(b) <= B_MAX, _B_RANGE.format, b)
         skips.check((theta >= 0.0) & (theta <= HALF_PI), _THETA_RANGE.format, theta)
     b, theta = (np.where(skips.ok, c, 0.0) for c in (b, theta))  # math.cos(inf) raises
-    return skips.outputs(*_outputs(
-        mapped(math.exp, -2.0 * b), mapped(math.exp, 2.0 * b),
-        mapped(math.cos, theta), mapped(math.sin, theta),
-    ))
+    b, b_row = distinct(b)
+    theta, theta_row = distinct(theta)
+    e_minus, e_plus = (mapped(math.exp, sign * b)[b_row] for sign in (-2.0, 2.0))
+    cos, sin = (mapped(fn, theta)[theta_row] for fn in (math.cos, math.sin))
+    return skips.outputs(*_outputs(e_minus, e_plus, cos, sin))
 
 
 def bs_uncertainty(params: BsParams) -> float:

@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__
 from .beamsplitter import BsParams, bs_evaluate, bs_uncertainty
 from .core import (
-    DomainError, MethodPoint, QuadratureStats, Regime, SqueezedAxis, squeeze_columns,
-    squeeze_metrics, uncertainty,
+    DomainError, MethodPoint, QuadratureStats, Regime, SqueezedAxis, distinct,
+    squeeze_columns, squeeze_metrics, uncertainty,
 )
 from .frontier import (
     Axis,
@@ -235,12 +235,9 @@ def _reprs(col: np.ndarray, json_numbers: bool = False) -> list[str]:
 
 
 def _axis_reprs(col: np.ndarray, json_numbers: bool) -> np.ndarray:
-    """_reprs of an axis column, each distinct value formatted once, since a
-    grid repeats its axis values over many rows. Values are told apart by
-    their bits, so -0.0 keeps its own text."""
-    bits = np.asarray(col, dtype=float).view(np.uint64)
-    distinct, row_of = np.unique(bits, return_inverse=True)
-    return np.array(_reprs(distinct.view(float), json_numbers), dtype=object)[row_of]
+    """_reprs of an axis column, each distinct value formatted once."""
+    values, row_of = distinct(col)
+    return np.array(_reprs(values, json_numbers), dtype=object)[row_of]
 
 
 def _joined(pieces: list) -> list[str]:
@@ -423,11 +420,14 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 # ------------------------------------------------------------- commands
@@ -500,8 +500,10 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     if "methods" not in conf:
         raise ConfigError("frontier requires --method or a config file with methods")
     methods, fmt, out_base = conf["methods"], conf["format"], conf.get("out")
-    if out_base is None and len(methods) > 1:
-        raise ConfigError("multi-method frontier requires out to name output files")
+    if out_base in (None, "-") and len(methods) > 1:
+        raise ConfigError(
+            "multi-method frontier requires out to name output files, not stdout"
+        )
 
     grids = [_grid_for(method, conf) for method in methods]  # all checked first
     for method, grid in zip(methods, grids):

@@ -148,6 +148,15 @@ def mapped(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
 
 
+def distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a float column and the index of each row's value
+    among them. Values are told apart by their bits, so -0.0 keeps its own
+    entry; a grid column repeats its axis values over many rows."""
+    bits = np.asarray(col, dtype=float).view(np.uint64)
+    values, row_of = np.unique(bits, return_inverse=True)
+    return values.view(float), row_of
+
+
 class Skips:
     """Skip reasons of a column evaluation, one per row, "" while it is ok.
 

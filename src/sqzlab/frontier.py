@@ -19,11 +19,13 @@ column form, which shares its formulas and skip messages with the scalar
 evaluator; the OPA runner evaluates every seed at every tau at once. A
 table reads as a sequence of SweepRecord views, built on access.
 
-A frontier ranks a sweep's ok rows once, with one stable np.lexsort by
-bin, then best first; each threshold keeps the rows with U within it and
-each bin's first row, and builds a params record only for those.
-Logarithms are math.log10 per value: np.log10 can differ in the last ulp
-and move a point across a bin edge.
+A frontier suite ranks a sweep's ok rows once, with one stable np.lexsort
+by bin, then best first, and ranks only the rows with U within the largest
+threshold, since no curve can keep any other. Each threshold keeps the
+rows with U within it and each bin's first row, and gathers the params
+records of those from the axis columns at once. Logarithms are math.log10
+per value: np.log10 can differ in the last ulp and move a point across a
+bin edge.
 
 Per-method facts live in one table, METHODS: the parameter names a method
 accepts (also its frontier CSV parameter columns), the axes a grid must
@@ -39,7 +41,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -144,12 +146,16 @@ class SweepRecord:
     skip_reason: str = ""
 
 
+_VIEW_BLOCK = 4096  # rows whose columns iteration gathers at once
+
+
 @dataclass(frozen=True, eq=False)
 class SweepTable(Sequence):
     """A sweep's result as columns, one row per grid point in row-major order.
 
     A skipped row has ok False, its reason and NaN outputs. Indexing gives
-    a SweepRecord view of a row, built on access.
+    a SweepRecord view of a row, built on access; iteration gathers the
+    columns a block of rows at a time.
     """
 
     values: dict[str, np.ndarray]  # axis columns, in grid axis order
@@ -164,26 +170,42 @@ class SweepTable(Sequence):
     def __len__(self) -> int:
         return len(self.ok)
 
-    @functools.cached_property
-    def _lists(self) -> dict[str, list[float]]:
-        """The axis columns as lists; their items read faster than numpy's."""
-        return {name: col.tolist() for name, col in self.values.items()}
+    def params_at(self, rows: np.ndarray) -> list[dict[str, object]]:
+        """The params records of the points at rows, in that order, from one
+        gather of each axis column."""
+        cols = [
+            self.values[n][rows].tolist() if n in self.values else [0.0] * len(rows)
+            for n in self.params
+        ]
+        return [dict(zip(self.params, vals)) | self.tags for vals in zip(*cols)]
 
-    def point_params(self, i: int) -> dict[str, object]:
-        """The params record of row i's point."""
-        cols = self._lists
-        return {n: cols[n][i] if n in cols else 0.0 for n in self.params} | self.tags
+    def _views(self, rows: range) -> Iterator[SweepRecord]:
+        """SweepRecord views of rows, one at a time, from one gather of each
+        column; a view the caller drops is freed before the next is built."""
+        idx = np.arange(rows.start, rows.stop, rows.step)
+        ok = self.ok[idx]
+        params = iter(self.params_at(idx[ok]))
+        names = list(self.values)
+        columns = (self.alpha_sq, self.var_x, self.var_p, *self.values.values())
+        for is_ok, reason, alpha_sq, var_x, var_p, *row in zip(
+            ok.tolist(), self.reason[idx].tolist(), *(c[idx].tolist() for c in columns)
+        ):
+            values = dict(zip(names, row))
+            if is_ok:
+                point = MethodPoint(alpha_sq, QuadratureStats(var_x, var_p), next(params))
+                yield SweepRecord(values, point, "ok")
+            else:
+                yield SweepRecord(values, None, "skipped", reason)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+            return list(self._views(range(len(self))[i]))
         i = range(len(self))[i]
-        values = {name: col[i] for name, col in self._lists.items()}
-        if not self.ok[i]:
-            return SweepRecord(values, None, "skipped", self.reason[i])
-        stats = QuadratureStats(float(self.var_x[i]), float(self.var_p[i]))
-        point = MethodPoint(float(self.alpha_sq[i]), stats, self.point_params(i))
-        return SweepRecord(values, point, "ok")
+        return next(self._views(range(i, i + 1)))
+
+    def __iter__(self):
+        for start in range(0, len(self), _VIEW_BLOCK):
+            yield from self._views(range(start, min(start + _VIEW_BLOCK, len(self))))
 
 
 @dataclass(frozen=True)
@@ -373,16 +395,24 @@ def ok_points(records: Iterable[SweepRecord]) -> list[MethodPoint]:
     return [r.point for r in records if r.status == "ok" and r.point is not None]
 
 
+def _within(u: np.ndarray, threshold: float) -> np.ndarray:
+    """Where an uncertainty is within a threshold, with the reduction's tolerance."""
+    return u <= threshold + 1e-12
+
+
 class _Ranked:
-    """The ok points of one sweep as columns, ranked once for every threshold."""
+    """The ok points of one sweep with U within a ceiling, as columns, ranked
+    once for every threshold up to the ceiling."""
 
     def __init__(
         self, alpha_sq: np.ndarray, var_x: np.ndarray, var_p: np.ndarray,
-        params: Callable[[int], dict[str, object]], bins: LogBins,
+        params: Callable[[np.ndarray], list[dict[str, object]]], bins: LogBins,
+        ceiling: float = math.inf,
     ) -> None:
         self.alpha_sq, self.var_x, self.var_p = alpha_sq, var_x, var_p
-        self.params = params  # params record of a point, built only for winners
+        self.params = params  # params records of points, built only for winners
         self.bins = bins
+        self.ceiling = ceiling
 
     @classmethod
     def of_points(cls, points: Iterable[MethodPoint], bins: LogBins) -> _Ranked:
@@ -393,15 +423,17 @@ class _Ranked:
 
         return cls(
             col("alpha_sq"), col("stats.var_x"), col("stats.var_p"),
-            lambda i: dict(pts[i].params), bins,
+            lambda idx: [dict(pts[i].params) for i in idx.tolist()], bins,
         )
 
     @classmethod
-    def of_table(cls, table: SweepTable, bins: LogBins) -> _Ranked:
-        rows = np.flatnonzero(table.ok)
+    def of_table(cls, table: SweepTable, bins: LogBins, ceiling: float) -> _Ranked:
+        """The table's ok rows with U within ceiling."""
+        u = np.sqrt(table.var_x * table.var_p)  # NaN in skipped rows
+        rows = np.flatnonzero(table.ok & _within(u, ceiling))
         return cls(
             table.alpha_sq[rows], table.var_x[rows], table.var_p[rows],
-            lambda i: table.point_params(rows[i]), bins,
+            lambda idx: table.params_at(rows[idx]), bins, ceiling,
         )
 
     def __len__(self) -> int:
@@ -426,15 +458,20 @@ def frontier(
     """Best squeeze factor per alpha_sq bin under an uncertainty ceiling."""
     if not threshold >= 1.0:
         raise ConfigError(f"threshold must be >= 1, got {threshold!r}")
-    reuse = isinstance(points, _Ranked) and points.bins == bins
-    ranked = points if reuse else _Ranked.of_points(points, bins)
-    rows, db, u, b = ranked.columns
-    keep = np.flatnonzero(u <= threshold + 1e-12)
+    if not isinstance(points, _Ranked):
+        points = _Ranked.of_points(points, bins)
+    elif points.bins != bins or threshold > points.ceiling:
+        raise ValueError("a ranked sweep serves its own bins, up to its ceiling")
+    rows, db, u, b = points.columns
+    keep = np.flatnonzero(_within(u, threshold))
     best = keep[np.diff(b[keep], prepend=-1) != 0]  # first kept row of each bin
     centers = bins.centers().tolist()
     pts = tuple(
-        FrontierPoint(centers[i], d, v, ranked.params(r))
-        for r, d, v, i in zip(*(col[best].tolist() for col in (rows, db, u, b)))
+        FrontierPoint(centers[i], d, v, params)
+        for d, v, i, params in zip(
+            db[best].tolist(), u[best].tolist(), b[best].tolist(),
+            points.params(rows[best]),
+        )
     )
     return FrontierCurve(threshold=threshold, points=pts)
 
@@ -451,7 +488,7 @@ def frontier_suite(
     bad = [thr for thr in thresholds if not thr >= 1.0]
     if bad:
         raise ConfigError(f"threshold must be >= 1, got {bad[0]!r}")
-    ranked = _Ranked.of_table(sweep(grid), bins)
+    ranked = _Ranked.of_table(sweep(grid), bins, max(thresholds, default=math.inf))
     return [frontier(ranked, thr, bins) for thr in thresholds]
 
 

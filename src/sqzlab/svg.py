@@ -44,8 +44,10 @@ def frontier_svg(
     px_w = _WIDTH - _ML - _MR
     px_h = _HEIGHT - _MT - _MB
 
+    log_lo, log_hi = math.log10(x_lo), math.log10(x_hi)
+
     def sx(x: float) -> float:
-        t = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
+        t = (math.log10(x) - log_lo) / (log_hi - log_lo)
         return _ML + t * px_w
 
     def sy(y: float) -> float:
@@ -72,8 +74,8 @@ def frontier_svg(
     )
 
     # x ticks at decades
-    dec = math.ceil(math.log10(x_lo) - 1e-12)
-    while dec <= math.log10(x_hi) + 1e-12:
+    dec = math.ceil(log_lo - 1e-12)
+    while dec <= log_hi + 1e-12:
         x = 10.0**dec
         parts.append(
             f'<line x1="{_fmt(sx(x))}" y1="{_fmt(_MT + px_h)}" x2="{_fmt(sx(x))}" '

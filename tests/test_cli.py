@@ -471,6 +471,35 @@ def test_multi_method_frontier_checks_every_grid_before_writing(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["sweep", "frontier"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path, tmp_path / "file" / "run.csv"):  # a directory; under a file
+        code, stdout, err = run(
+            capsys, command, "--method", "bs", "--axis", "b=0:1:2",
+            "--axis", "theta=0:1:2", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {str(out)!r}: ")
+        assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_multi_method_frontier_to_stdout_exits_2_before_sweeping(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    for module in ("sqzlab.cli", "sqzlab.frontier"):
+        monkeypatch.setattr(importlib.import_module(module), "sweep", None)
+    code, out, err = run(
+        capsys, "frontier", "--method", "opo_phase,opo_amplitude",
+        "--axis", "c0=0.1:0.9:2", "--out", "-",
+    )
+    assert (code, out) == (2, "")
+    assert "multi-method frontier requires out to name output files" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_writes_to_the_config_files_out(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(f"methods = bs\nout = {tmp_path / 'bs.csv'}\naxes = b=0:1:2;theta=0:1:2\n")
@@ -489,7 +518,7 @@ _VALID = {
     "bins": st.builds("{}:{}:{}".format, st.sampled_from(("1e-6", "1e-3")),
                       st.sampled_from(("1", "10")), st.integers(1, 50)),
     "format": st.sampled_from(("csv", "json", "svg")),
-    "out": st.sampled_from(("run.out", "sub/run")),
+    "out": st.sampled_from(("run.out", "sub/run", "-", ".")),  # "." is a directory
     "seed_cap": st.sampled_from(("1", "0.01", "inf")),
 }
 _MALFORMED = {

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sqzlab import cli
-from sqzlab.beamsplitter import BsParams, bs_evaluate
+from sqzlab.beamsplitter import BsParams, bs_columns, bs_evaluate
 from sqzlab.core import MAX_GRID_POINTS, DomainError, Regime, SqueezedAxis, squeeze_columns
 from sqzlab.frontier import (
     Axis,
@@ -235,9 +235,10 @@ def json_per_row(method, records, config):
         }
         if ok:
             alpha_sq, var_x, var_p, db, u = numbers
+            params = {n: entry["values"].get(n, 0.0) for n in records.params}
             entry.update(
                 alpha_sq=alpha_sq, var_x=var_x, var_p=var_p, squeeze_db=db,
-                uncertainty=u, params=records.point_params(i),
+                uncertainty=u, params=params | records.tags,
             )
         points.append(entry)
     doc = {"config": {k: str(v) for k, v in sorted(config.items())}, "points": points}
@@ -310,6 +311,24 @@ def test_writers_spell_nonfinite_values_signed_zeros_and_strings_as_before():
     assert_writers_match_per_row(Method.BEAM_SPLITTER, empty, config)
 
 
+def test_bs_columns_equal_scalar_evaluator_bitwise_over_repeated_values():
+    # -0.0 beside 0.0, values repeated out of order, and skipped values among them
+    b_values = [0.0, -0.0, 1.5, -0.0, 1.5, 0.0, -2.0, math.nan, 400.0, 1.5, 12.0]
+    theta_values = [-0.0, 0.3, 0.0, 0.3, math.pi / 2, -0.0, 2.0, 0.3, 1e-4]
+    b, theta = (m.ravel() for m in np.meshgrid(b_values, theta_values, indexing="ij"))
+    alpha_sq, var_x, var_p, ok, reason = bs_columns(b, theta)
+    for i, (b_i, theta_i) in enumerate(zip(b.tolist(), theta.tolist())):
+        try:
+            pt = bs_evaluate(BsParams(b_i, theta_i))
+        except DomainError as exc:
+            assert not ok[i] and reason[i] == str(exc)
+            continue
+        expected = np.array([pt.alpha_sq, pt.stats.var_x, pt.stats.var_p])
+        assert ok[i] and reason[i] == ""
+        assert np.array([alpha_sq[i], var_x[i], var_p[i]]).tobytes() == expected.tobytes()
+    assert ok.sum() == 9 * 8  # the rows of the valid b and theta values
+
+
 def test_table_views_read_like_records():
     table = frontier_module.sweep(
         SweepGrid(Method.OM_AMPLITUDE, (Axis("cc", 0.5, 4.0, 3), Axis("dd", 0.1, 0.9, 3)))
@@ -323,6 +342,15 @@ def test_table_views_read_like_records():
     assert [r.values for r in table] == [table[i].values for i in range(9)]
     with pytest.raises(IndexError):
         table[9]
+    # iteration builds views in blocks; rows on both sides of a block edge,
+    # skipped rows among them, read as one at a time
+    big = frontier_module.sweep(
+        SweepGrid(Method.BEAM_SPLITTER, (Axis("b", 0.0, 1.0, 70), Axis("theta", 0.0, 2.0, 70)))
+    )
+    assert len(big) > frontier_module._VIEW_BLOCK and not big.ok.all()
+    assert list(big) == [big[i] for i in range(len(big))]
+    assert big[::-7] == [big[i] for i in range(len(big))[::-7]]
+    assert big[-1] == big[len(big) - 1] and big[5:5] == []
 
 
 def test_cutoff_is_per_seed_scan_in_either_axis_order():

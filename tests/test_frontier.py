@@ -13,6 +13,7 @@ from sqzlab.core import (
     uncertainty,
 )
 from sqzlab.frontier import (
+    DEFAULT_THRESHOLDS,
     METHODS,
     Axis,
     ConfigError,
@@ -415,18 +416,42 @@ def _point(alpha_sq, var_x, var_p, tag):
 REFERENCE_THRESHOLDS = (1.0, 1.001, 2.0, math.inf)
 
 
-@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-def test_columnar_frontier_matches_scalar_reference(method):
+# REFERENCE_THRESHOLDS end in inf, so the suite's ceiling (the largest
+# threshold) ranks every ok row; DEFAULT_THRESHOLDS end in 10, which drops rows.
+@pytest.mark.parametrize(
+    "method, thresholds",
+    [pytest.param(m, REFERENCE_THRESHOLDS, id=m.value) for m in Method]
+    + [pytest.param(m, DEFAULT_THRESHOLDS, id=f"{m.value}-default") for m in Method],
+)
+def test_columnar_frontier_matches_scalar_reference(method, thresholds):
     axes = tuple(
         Axis(ax.name, ax.lo, ax.hi, 17, ax.spacing) for ax in METHODS[method].axes
     )
     grid = SweepGrid(method=method, axes=axes)
     pts = ok_points(sweep(grid))
     for bins in (LogBins(), LogBins(1e-4, 0.5, 23)):
-        curves = frontier_suite(method, REFERENCE_THRESHOLDS, grid, bins)
-        expected = [_reference_frontier(pts, thr, bins) for thr in REFERENCE_THRESHOLDS]
+        curves = frontier_suite(method, thresholds, grid, bins)
+        expected = [_reference_frontier(pts, thr, bins) for thr in thresholds]
         assert curves == expected
         assert any(c.points for c in curves)
+        if method is Method.BEAM_SPLITTER and thresholds is DEFAULT_THRESHOLDS:
+            ceiling = max(thresholds) + 1e-12
+            assert any(
+                uncertainty(p.stats) > ceiling
+                and _reference_index(bins, p.alpha_sq) is not None
+                for p in pts
+            )
+
+
+def test_ranked_sweep_serves_only_thresholds_up_to_its_ceiling():
+    table = sweep(bs_grid())
+    ranked = frontier_module._Ranked.of_table(table, LogBins(), 2.0)
+    assert len(ranked) < table.ok.sum()
+    assert frontier(ranked, 2.0) == frontier(ok_points(table), 2.0)
+    with pytest.raises(ValueError, match="up to its ceiling"):
+        frontier(ranked, 2.5)
+    with pytest.raises(ValueError, match="its own bins"):
+        frontier(ranked, 2.0, LogBins(1e-4, 1.0, 7))
 
 
 def test_columnar_frontier_tie_break_order():
