@@ -14,7 +14,9 @@ for regime, label in (
     (Regime.PHASE_SQUEEZING, "amplifying / phase squeezing"),
     (Regime.AMPLITUDE_SQUEEZING, "deamplifying / amplitude squeezing"),
 ):
-    traj = opa_propagate(OpaParams(seed_ratio=0.05, t_max=6.0, regime=regime))
+    traj = opa_propagate(
+        OpaParams(seed_ratio=0.05, t_max=6.0, regime=regime), samples=24576
+    )
     print(f"--- {label} (seed_ratio = 0.05) ---")
     print(f"{'tau':>5} {'A_s':>8} {'A_p':>8} {'var_x':>9} {'var_p':>9} {'U':>8}")
     for tau in np.linspace(0.0, 6.0, 13):

@@ -59,6 +59,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
 
+RK4_STEPS_PER_UNIT_TIME = 4096  # the default of opa-trajectory --n-steps
+
 
 def _fnum(x: float) -> str:
     """Shortest round-trip decimal form; deterministic across platforms."""
@@ -166,8 +168,8 @@ def parse_format(spec: str) -> str:
 
 
 def parse_out(spec: str) -> str:
-    if not spec:
-        raise ConfigError("out must name a file, or '-' for stdout")
+    if not spec or "\0" in spec:
+        raise ConfigError(f"out must name a file, or '-' for stdout, got {spec!r}")
     return spec
 
 
@@ -536,35 +538,29 @@ def cmd_frontier(args: argparse.Namespace) -> int:
 
 
 def cmd_opa_trajectory(args: argparse.Namespace) -> int:
-    params = OpaParams(args.seed_ratio, args.t_max, _regime(args.regime), args.n_steps)
-    traj = opa_propagate(params, check_steps=args.check_steps)
-    stride = max(1, (len(traj.times) - 1) // max(1, args.samples))
+    out = parse_out(args.out)
+    params = OpaParams(args.seed_ratio, args.t_max, _regime(args.regime))
+    if args.n_steps is not None and not args.check_steps:
+        raise ConfigError("--n-steps is the step count of --check-steps; give both")
+    steps = 0  # no RK4 check
+    if args.check_steps:  # the product is inf for t_max past 4.4e304
+        default = min(RK4_STEPS_PER_UNIT_TIME * args.t_max, sys.maxsize)
+        steps = args.n_steps or max(2, round(default))
+    traj = opa_propagate(params, args.samples, check_steps=steps)
     lines = [
         f"# command = opa-trajectory",
         f"# regime = {args.regime}",
         f"# seed_ratio = {args.seed_ratio}",
         f"# t_max = {args.t_max}",
-        f"# n_steps = {params.n_steps}",
+        f"# samples = {args.samples}",
+        *([f"# n_steps = {steps}"] if steps else []),
         "t,a_s,a_p,var_x_s,var_p_s,uncertainty",
     ]
-    idx = list(range(0, len(traj.times), stride))
-    if idx[-1] != len(traj.times) - 1:
-        idx.append(len(traj.times) - 1)
-    for i in idx:
-        stats = traj.seed_stats(i)
-        lines.append(
-            ",".join(
-                [
-                    _fnum(traj.times[i]),
-                    _fnum(traj.a_s[i]),
-                    _fnum(traj.a_p[i]),
-                    _fnum(stats.var_x),
-                    _fnum(stats.var_p),
-                    _fnum(uncertainty(stats)),
-                ]
-            )
-        )
-    _write(args.out, "\n".join(lines) + "\n")
+    for i, t in enumerate(traj.times):
+        s = traj.seed_stats(i)
+        row = (t, traj.a_s[i], traj.a_p[i], s.var_x, s.var_p, uncertainty(s))
+        lines.append(",".join(map(_fnum, row)))
+    _write(out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -626,13 +622,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj.add_argument("--regime", default="phase", choices=("phase", "amplitude"))
     p_traj.add_argument("--t-max", dest="t_max", type=float, default=6.0)
     p_traj.add_argument(
-        "--n-steps", dest="n_steps", type=int, default=0,
-        help="time-grid steps (default 4096 per unit of t_max)",
+        "--n-steps", dest="n_steps", type=int, default=None,
+        help="RK4 steps of --check-steps (default 4096 per unit of t_max)",
     )
-    p_traj.add_argument("--samples", type=int, default=200)
+    p_traj.add_argument("--samples", type=int, default=200, help="time-grid intervals")
     p_traj.add_argument(
         "--check-steps", dest="check_steps", action="store_true",
-        help="integrate with RK4 on the same grid; exit 3 if it departs from"
+        help="integrate with RK4 over --n-steps steps; exit 3 if it departs from"
         " the closed form by more than 1e-6 (relative)",
     )
     p_traj.add_argument("--out", default="-")

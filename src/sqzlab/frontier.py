@@ -13,11 +13,12 @@ outputs, including tie-breaking (smaller uncertainty first, then smaller
 alpha_sq, then input order).
 
 A sweep's result is one SweepTable of columns: the axis values per row,
-alpha_sq, var_x, var_p, an ok mask and a skip reason per row. The bs, OPO
-and om runners evaluate the whole grid with one call of the method's
+alpha_sq, var_x, var_p, an ok mask and a skip reason per row. Every
+method's runner evaluates the whole grid with one call of the method's
 column form, which shares its formulas and skip messages with the scalar
-evaluator; the OPA runner evaluates every seed at every tau at once. A
-table reads as a sequence of SweepRecord views, built on access.
+evaluator. A seed input cap skips the rows of a seed_ratio column above
+it, whatever the evaluator made of them. A table reads as a sequence of
+SweepRecord views, built on access.
 
 A frontier suite ranks a sweep's ok rows once, with one stable np.lexsort
 by bin, then best first, and ranks only the rows with U within the largest
@@ -51,7 +52,6 @@ from .core import (
     MethodPoint,
     QuadratureStats,
     Regime,
-    Skips,
     SqueezedAxis,
     mapped,
     squeeze_columns,
@@ -134,6 +134,8 @@ class SweepGrid:
             raise ConfigError(
                 f"grid has {points} points; the limit is {MAX_GRID_POINTS}"
             )
+        if any(ax.name == "tau" and ax.lo < 0.0 for ax in self.axes):
+            raise ConfigError("tau axis must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,14 @@ class SweepTable(Sequence):
 
     def __len__(self) -> int:
         return len(self.ok)
+
+    def _skip(self, rows: np.ndarray, reason: str | list[str]) -> None:
+        """Mark rows skipped with a reason (one, or one per row), in place of
+        what they held."""
+        self.ok[rows] = False
+        self.reason[rows] = reason
+        for col in (self.alpha_sq, self.var_x, self.var_p):
+            col[rows] = math.nan
 
     def params_at(self, rows: np.ndarray) -> list[dict[str, object]]:
         """The params records of the points at rows, in that order, from one
@@ -276,33 +286,16 @@ def _kernel(
         zeros = np.zeros(math.prod(ax.count for ax in grid.axes))
         params = METHODS[grid.method].params
         cols = (values.get(name, zeros) for name in params)
-        return SweepTable(values, *evaluate(*cols, *fixed.values()), params, tags)
+        table = SweepTable(values, *evaluate(*cols, *fixed.values()), params, tags)
+        seed = values.get("seed_ratio")
+        cap = grid.constraints.get("seed_input_cap")
+        if seed is not None and cap is not None:  # in place of any evaluator reason
+            over = np.flatnonzero(~(seed <= cap))
+            message = f"seed_ratio {{:g}} exceeds seed input cap {cap:g}"
+            table._skip(over, list(map(message.format, seed[over].tolist())))
+        return table
 
     return run
-
-
-def _sweep_opa(regime: Regime, grid: SweepGrid) -> SweepTable:
-    """One closed-form evaluation of every seed at every requested tau."""
-    axes = {ax.name: ax for ax in grid.axes}
-    taus = axes["tau"].values()
-    if taus[0] < 0.0:
-        raise ConfigError("tau axis must be non-negative")
-    by_tau = grid.axes[0].name == "tau"  # then tau is the outer axis of the rows
-    outputs = opa.seed_outputs(axes["seed_ratio"].values(), regime, taus)
-    alpha_sq, var_x, var_p = ((c.T if by_tau else c).ravel() for c in outputs)
-    values = _grid_columns(grid.axes)
-    seed, tau = values["seed_ratio"], values["tau"]
-    skips = Skips(len(seed))
-    cap = grid.constraints.get("seed_input_cap")
-    if cap is not None:
-        message = f"seed_ratio {{:g}} exceeds seed input cap {cap:g}"
-        skips.check(seed <= cap, message.format, seed)
-    skips.check(~(seed < 0.0), "seed_ratio must be >= 0, got {!r}".format, seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        skips.check(abs(var_x * var_p) < math.inf, opa.OVERFLOW.format, tau, seed)
-    return SweepTable(
-        values, *skips.outputs(alpha_sq, var_x, var_p), _OPA, {"regime": regime.value}
-    )
 
 
 def _opo_amplitude(grid: SweepGrid) -> SweepTable:
@@ -318,11 +311,7 @@ def _opo_amplitude(grid: SweepGrid) -> SweepTable:
         live = scan[table.ok[scan]]  # in seed order
         cut = opo.amplitude_cutoff_index(table.alpha_sq[live])
         if cut is not None:
-            past = live[cut:]
-            table.ok[past] = False
-            table.reason[past] = "nonmonotonic alpha_sq vs seed_ratio (past cutoff)"
-            for col in (table.alpha_sq, table.var_x, table.var_p):
-                col[past] = math.nan
+            table._skip(live[cut:], "nonmonotonic alpha_sq vs seed_ratio (past cutoff)")
     return table
 
 
@@ -369,11 +358,11 @@ METHODS: dict[Method, MethodSpec] = {
     ),
     Method.OPO_AMPLITUDE: MethodSpec(_OPO, ("c0",), _OPO_AXES, _opo_amplitude),
     Method.OPA_PHASE: MethodSpec(
-        _OPA, _OPA, _OPA_AXES, functools.partial(_sweep_opa, Regime.PHASE_SQUEEZING)
+        _OPA, _OPA, _OPA_AXES, _kernel(opa.opa_columns, regime=Regime.PHASE_SQUEEZING)
     ),
     Method.OPA_AMPLITUDE: MethodSpec(
         _OPA, _OPA, _OPA_AXES,
-        functools.partial(_sweep_opa, Regime.AMPLITUDE_SQUEEZING),
+        _kernel(opa.opa_columns, regime=Regime.AMPLITUDE_SQUEEZING),
     ),
     Method.OM_AMPLITUDE: MethodSpec(
         _OM, ("cc", "dd"), _OM_AXES,

@@ -40,13 +40,13 @@ the zero-seed limit, where the sectors decouple into diag(e^{2 e_p t}, 1)
 and diag(e^{-2 e_p t}, 1). det(V_x) det(V_p) = 1: the joint
 four-quadrature state stays pure even as the seed marginal becomes mixed.
 
-`evolve` evaluates the mean fields and both blocks for a batch of seeds at
-arbitrary times; sweeps, point evaluation and trajectories all read it.
-A covariance that overflows double precision is reported as a DomainError.
+One helper evaluates the mean fields and both blocks at seeds and times
+that broadcast: `evolve` and trajectories take every seed at every time,
+sweeps (`opa_columns`) and `opa_evaluate` the rows of two columns. A
+covariance that overflows double precision is reported as a DomainError.
 `sqzlab.oracle.opa_covariance_rk4` integrates the same equations with
-fixed-step RK4; `opa_propagate(..., check_steps=True)` runs it at the
-trajectory's step count and raises NonConvergenceError when the two
-disagree.
+fixed-step RK4; `opa_propagate(..., check_steps=n)` runs it over n steps
+and raises NonConvergenceError when it departs from the closed form.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    MAX_GRID_POINTS, DomainError, MethodPoint, QuadratureStats, Regime, mapped,
+    MAX_GRID_POINTS, DomainError, MethodPoint, QuadratureStats, Regime, Skips, mapped,
 )
 
-STEPS_PER_UNIT_TIME = 4096
+_SEED = "seed_ratio must be >= 0, got {!r}"
 OVERFLOW = "noise covariance overflows double precision at tau={!r} (seed_ratio={!r})"
 
 
@@ -78,19 +78,12 @@ class OpaParams:
     seed_ratio: float
     t_max: float
     regime: Regime = Regime.PHASE_SQUEEZING
-    n_steps: int = 0  # 0 picks STEPS_PER_UNIT_TIME per unit of t_max
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.seed_ratio) or self.seed_ratio < 0.0:
-            raise DomainError(f"seed_ratio must be >= 0, got {self.seed_ratio!r}")
+            raise DomainError(_SEED.format(self.seed_ratio))
         if not 0.0 < self.t_max < math.inf:
             raise DomainError(f"t_max must be finite and > 0, got {self.t_max!r}")
-        if self.n_steps == 0:
-            object.__setattr__(
-                self, "n_steps", max(2, round(STEPS_PER_UNIT_TIME * self.t_max))
-            )
-        if self.n_steps < 2:
-            raise DomainError(f"n_steps must be >= 2, got {self.n_steps!r}")
 
     @property
     def pump_sign(self) -> float:
@@ -116,9 +109,6 @@ class OpaTrajectory:
         return QuadratureStats(
             var_x=float(self.cov_x[i, 0, 0]), var_p=float(self.cov_p[i, 0, 0])
         )
-
-    def alpha_sq(self, i: int) -> float:
-        return float(self.a_s[i] ** 2)  # |e_p| = 1
 
     def point(self, i: int) -> MethodPoint:
         return opa_evaluate(self.params, float(self.times[i]))
@@ -177,19 +167,9 @@ def _gram(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndar
     return out
 
 
-def evolve(
-    seed_ratios: Sequence[float] | np.ndarray, regime: Regime,
-    times: Sequence[float] | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean fields and covariance blocks of each seed at each time >= 0.
-
-    Returns a_s and a_p of shape (seeds, times) and cov_x, cov_p of shape
-    (seeds, times, 2, 2). Entries past the range of double precision come
-    out inf or nan; callers report them as a DomainError (OVERFLOW).
-    """
-    p = _pump_sign(regime)
-    s = np.asarray(seed_ratios, dtype=float)[:, None]
-    t = np.asarray(times, dtype=float)[None, :]
+def _evolve(s: np.ndarray, p: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """a_s, a_p, cov_x and cov_p at seeds s and times t >= 0, broadcast
+    against each other; the blocks have two more axes of length 2."""
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         r, a_p = _fields(s, p, t)
         s2 = s * s
@@ -207,55 +187,87 @@ def evolve(
     return a_s, a_p, cov_x, cov_p
 
 
-def seed_outputs(
+def evolve(
     seed_ratios: Sequence[float] | np.ndarray, regime: Regime,
     times: Sequence[float] | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The seed's alpha_sq (|e_p| = 1), var_x and var_p, shape (seeds, times)."""
-    a_s, _, cov_x, cov_p = evolve(seed_ratios, regime, times)
-    alpha_sq = mapped(lambda a: a**2, a_s.ravel()).reshape(a_s.shape)  # libm pow
-    return alpha_sq, cov_x[..., 0, 0], cov_p[..., 0, 0]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean fields and covariance blocks of each seed at each time >= 0.
+
+    Returns a_s and a_p of shape (seeds, times) and cov_x, cov_p of shape
+    (seeds, times, 2, 2). Entries past the range of double precision come
+    out inf or nan; callers report them as a DomainError (OVERFLOW).
+    """
+    s = np.asarray(seed_ratios, dtype=float)[:, None]
+    t = np.asarray(times, dtype=float)[None, :]
+    return _evolve(s, _pump_sign(regime), t)
+
+
+def opa_columns(
+    seed_ratio: np.ndarray, tau: np.ndarray, regime: Regime
+) -> tuple[np.ndarray, ...]:
+    """The seed's output at each row of two columns, as opa_evaluate gives it:
+    (alpha_sq, var_x, var_p, ok, reason)."""
+    skips = Skips(len(seed_ratio))
+    skips.check(~(seed_ratio < 0.0), _SEED.format, seed_ratio)
+    a_s, _, cov_x, cov_p = _evolve(seed_ratio, _pump_sign(regime), tau)
+    alpha_sq = mapped(lambda a: a**2, a_s)  # libm pow; |e_p| = 1
+    var_x, var_p = cov_x[:, 0, 0], cov_p[:, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        skips.check(abs(var_x * var_p) < math.inf, OVERFLOW.format, tau, seed_ratio)
+    return skips.outputs(alpha_sq, var_x, var_p)
 
 
 def propagate_batch(
-    seed_ratios: Sequence[float], regime: Regime, t_max: float, n_steps: int = 0
+    seed_ratios: Sequence[float], regime: Regime, t_max: float, samples: int
 ) -> list[OpaTrajectory]:
-    """Trajectories of many seeds sampled on one shared time grid."""
-    n = OpaParams(0.0, t_max, regime, n_steps).n_steps
-    if n + 1 > MAX_GRID_POINTS:
+    """Trajectories of many seeds at the samples + 1 times
+    linspace(0, t_max, samples + 1)."""
+    if not 1 <= samples < MAX_GRID_POINTS:
         raise DomainError(
-            f"a time grid of {n + 1} points exceeds the limit of {MAX_GRID_POINTS}"
+            f"samples must be >= 1 and within the limit of {MAX_GRID_POINTS - 1},"
+            f" got {samples!r}"
         )
-    params = [OpaParams(s, t_max, regime, n) for s in seed_ratios]
-    times = np.linspace(0.0, t_max, n + 1)
+    params = [OpaParams(s, t_max, regime) for s in seed_ratios]
+    times = np.linspace(0.0, t_max, samples + 1)
     a_s, a_p, cov_x, cov_p = evolve([p.seed_ratio for p in params], regime, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        over = np.argwhere(~(abs(cov_x[..., 0, 0] * cov_p[..., 0, 0]) < math.inf))
+    if over.size:
+        j, i = over[0]
+        raise DomainError(OVERFLOW.format(float(times[i]), params[j].seed_ratio))
     return [
         OpaTrajectory(times, a_s[j], a_p[j], cov_x[j], cov_p[j], p)
         for j, p in enumerate(params)
     ]
 
 
-def opa_propagate(params: OpaParams, check_steps: bool = False) -> OpaTrajectory:
-    """Noise covariance from vacuum, sampled on params.n_steps + 1 times.
+def opa_propagate(
+    params: OpaParams, samples: int, check_steps: int = 0
+) -> OpaTrajectory:
+    """Noise covariance from vacuum at linspace(0, t_max, samples + 1).
 
-    With check_steps=True the RK4 validator is run on the same grid, and a
-    departure above 1e-6 (relative to sqrt(V_ii V_jj) for each entry V_ij)
-    raises NonConvergenceError.
+    With check_steps > 0 the RK4 validator integrates over that many steps
+    and is compared with the closed form on its own grid; a departure above
+    1e-6 (relative to sqrt(V_ii V_jj) for each entry V_ij) raises
+    NonConvergenceError.
     """
-    traj = propagate_batch(
-        [params.seed_ratio], params.regime, params.t_max, params.n_steps
-    )[0]
+    if check_steps and not 2 <= check_steps <= MAX_GRID_POINTS:
+        raise DomainError(
+            f"an RK4 check takes from 2 steps to the limit of {MAX_GRID_POINTS},"
+            f" got {check_steps!r}"
+        )
+    traj = propagate_batch([params.seed_ratio], params.regime, params.t_max, samples)[0]
     if check_steps:
         from .oracle import opa_covariance_gap, opa_covariance_rk4  # oracle imports us
 
-        _, _, _, comp = opa_covariance_rk4(
-            np.array([params.seed_ratio]), params.pump_sign, params.t_max,
-            params.n_steps,
+        times, _, _, comp = opa_covariance_rk4(
+            np.array([params.seed_ratio]), params.pump_sign, params.t_max, check_steps
         )
-        gap = opa_covariance_gap(traj.cov_x, traj.cov_p, comp[:, :, 0])
+        _, _, cov_x, cov_p = evolve([params.seed_ratio], params.regime, times)
+        gap = opa_covariance_gap(cov_x[0], cov_p[0], comp[:, :, 0])
         if not gap <= 1e-6:
             raise NonConvergenceError(
-                f"RK4 at n_steps={params.n_steps} departs from the closed-form "
+                f"RK4 at n_steps={check_steps} departs from the closed-form "
                 f"covariance by {gap:.3e} (relative); refine the step count"
             )
     return traj
@@ -265,11 +277,11 @@ def opa_evaluate(params: OpaParams, t: float) -> MethodPoint:
     """Output point at interaction time exactly t."""
     if not 0.0 <= t <= params.t_max:
         raise DomainError(f"t must lie in [0, t_max], got {t!r}")
-    alpha_sq, var_x, var_p = (
-        float(c[0, 0]) for c in seed_outputs([params.seed_ratio], params.regime, [t])
-    )
-    if not math.isfinite(var_x * var_p):
-        raise DomainError(OVERFLOW.format(t, params.seed_ratio))
+    seed, tau = np.array([params.seed_ratio], float), np.array([t], float)
+    columns = opa_columns(seed, tau, params.regime)
+    alpha_sq, var_x, var_p, ok, reason = (c.item() for c in columns)
+    if not ok:
+        raise DomainError(reason)
     return MethodPoint(
         alpha_sq=alpha_sq,
         stats=QuadratureStats(var_x=var_x, var_p=var_p),

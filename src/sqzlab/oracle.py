@@ -9,7 +9,7 @@ Four small engines live here:
 * a fixed-step RK4 integrator for the amplifier's linearized noise
   covariance (dV/dt = M V + V M^T per quadrature sector, mean fields taken
   from the closed form), used to cross-check the closed-form covariance
-  of `sqzlab.opa` and behind `opa_propagate(..., check_steps=True)`, and
+  of `sqzlab.opa` and behind `opa_propagate(..., check_steps=n)`, and
 * for the OPO, a bisection for the steady state and the zero-frequency
   input-output map of the linearized cavity (Gardiner & Collett, PRA 31,
   3761 (1985)), used to cross-check `sqzlab.opo`.

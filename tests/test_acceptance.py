@@ -125,7 +125,7 @@ def _heisenberg_opa() -> tuple[int, float]:
     n = 0
     seeds = np.logspace(-3, math.log10(0.5), 40)
     for regime in (PHASE, AMP):
-        for traj in propagate_batch(list(seeds), regime, 4.0):
+        for traj in propagate_batch(list(seeds), regime, 4.0, 16384):
             idx = np.linspace(0, len(traj.times) - 1, 128).astype(int)
             u = np.sqrt(traj.cov_x[idx, 0, 0] * traj.cov_p[idx, 0, 0])
             low = min(low, float(u.min()))
@@ -242,7 +242,7 @@ def test_criterion_05_opa_conservation_oracle_purity():
     worst_det = 0.0
     for regime in (PHASE, AMP):
         pump = 1.0 if regime is PHASE else -1.0
-        for seed, traj in zip(seeds, propagate_batch(list(seeds), regime, 5.0)):
+        for seed, traj in zip(seeds, propagate_batch(list(seeds), regime, 5.0, 20480)):
             c1 = 1.0 + seed**2 / 2.0
             cons = np.abs(traj.a_s**2 / 2.0 + traj.a_p**2 - c1) / c1
             worst_cons = max(worst_cons, float(cons.max()))
@@ -275,7 +275,7 @@ def test_criterion_05_opa_conservation_oracle_purity():
 
 
 def test_criterion_06_opa_qualitative_dynamics():
-    traj = propagate_batch([0.05], PHASE, 6.0)[0]
+    traj = propagate_batch([0.05], PHASE, 6.0, 24576)[0]
     i_squeeze = int(traj.cov_p[:, 0, 0].argmin())
     i_amp = int((traj.a_s**2).argmax())
     tau_squeeze = float(traj.times[i_squeeze])

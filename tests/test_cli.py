@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sqzlab.cli import main, parse_axis, parse_bins, parse_thresholds, points_from_json, read_config_file
+from sqzlab.core import Regime
 from sqzlab.frontier import METHODS, ConfigError, LogBins, Method, frontier, ok_points, sweep
+from sqzlab.opa import OpaParams, opa_evaluate
 
 
 def run(capsys, *argv):
@@ -217,15 +219,50 @@ def test_opa_trajectory_columns(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code, _, _ = run(
         capsys, "opa-trajectory", "--seed-ratio", "0.05", "--t-max", "2",
-        "--n-steps", "512", "--samples", "16", "--out", str(out),
+        "--samples", "16", "--out", str(out),
     )
     assert code == 0
     lines = data_lines(out.read_text())
     assert lines[0] == "t,a_s,a_p,var_x_s,var_p_s,uncertainty"
+    assert len(lines) == 1 + 17
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, 0.05, 1.0, 1.0, 1.0, 1.0]
     for line in lines[1:]:
         assert all(math.isfinite(float(v)) for v in line.split(","))
+
+
+def test_opa_trajectory_rows_are_exact_samples(capsys):
+    code, out, _ = run(
+        capsys, "opa-trajectory", "--seed-ratio", "0.05", "--t-max", "6", "--samples", "200",
+    )
+    assert code == 0
+    assert "# samples = 200" in out and "n_steps" not in out
+    rows = [[float(v) for v in line.split(",")] for line in data_lines(out)[1:]]
+    assert [r[0] for r in rows] == np.linspace(0.0, 6.0, 201).tolist()
+    params = OpaParams(0.05, 6.0, Regime.PHASE_SQUEEZING)
+    for t, a_s, _, var_x, var_p, u in rows:
+        pt = opa_evaluate(params, t)
+        assert (a_s**2, var_x, var_p) == (pt.alpha_sq, pt.stats.var_x, pt.stats.var_p)
+        assert u == pt.uncertainty
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--samples", "-3"), "samples must be >= 1 and within the limit"),
+        (("--samples", "0"), "samples must be >= 1 and within the limit"),
+        (("--n-steps", "512"), "--n-steps is the step count of --check-steps"),
+        (("--n-steps", "1", "--check-steps"), "an RK4 check takes from 2 steps"),
+        (("--t-max", "1e9"), "noise covariance overflows double precision"),
+    ],
+    ids=["negative-samples", "zero-samples", "n-steps-without-check", "one-n-step",
+         "overflow"],
+)
+def test_opa_trajectory_bad_requests_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "opa-trajectory", "--seed-ratio", "0.1", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
 
 
 def test_opa_trajectory_nonconvergence_exit_code(capsys):
@@ -440,12 +477,13 @@ def test_infinite_bin_edge_exits_2():
         (("sweep", "--method", "opa_phase", "--seed-cap", "abc"), None,
          "bad seed_cap 'abc'"),
         (("sweep", "--method", "bs", "--out", ""), None, "out must name a file"),
+        (("sweep",), "methods = bs\nout = \x00\n", "out must name a file"),
         (("sweep",), "methods = bs\nbins = 1e-6:1\n", "bad bins '1e-6:1'"),
         (("sweep", "--method", "bs", "--config", "missing.conf"), None,
          "cannot read config file 'missing.conf': No such file or directory"),
     ],
     ids=["sweep-format", "frontier-format", "sweep-svg", "seed-cap", "empty-out",
-         "sweep-bad-bins", "missing-config"],
+         "nul-out", "sweep-bad-bins", "missing-config"],
 )
 def test_schema_rejects_bad_values_before_sweeping(
     tmp_path, capsys, monkeypatch, argv, conf_text, message
@@ -526,7 +564,7 @@ _MALFORMED = {
     "thresholds": ("", "0.5", "nan", "1;2"),
     "bins": ("0:1:5", "1e-6:inf:5", "1e-6:1:0", "1e-6:1", "1:1e-6:5"),
     "format": ("xml", ""),
-    "out": ("",),
+    "out": ("", "\x00"),
     "seed_cap": ("nan", "abc", ""),
     "axes": ("q=0.1:1:2", "b=0:1", "tau=1:0:3", "c0=0:1:x", "cc=-1:1:2:log"),
     "line": ("threshold = 2", "no equals sign", "axes"),

@@ -159,6 +159,14 @@ OM_CC_UNDERFLOW = (
     ("alpha_sq must be finite and >= 0, got inf",),
 )
 
+# seed_ratio -1, 0, 1, ..., 10 under a cap of 1; the OPO sweep ignored the cap
+OPO_SEED_CAP = (
+    Method.OPO_PHASE,
+    (Axis("c0", 0.5, 0.6, 2), Axis("seed_ratio", -1.0, 10.0, 12)),
+    {"seed_input_cap": 1.0},
+    ("seed_ratio must be >= 0", "seed_ratio 2 exceeds seed input cap 1"),
+)
+
 # var_x and var_p finite, their product not: uncertainty = inf was an ok row
 OM_PRODUCT_OVERFLOW = (
     Method.OM_AMPLITUDE,
@@ -168,12 +176,22 @@ OM_PRODUCT_OVERFLOW = (
 )
 
 
+def _rows(table, keep):
+    """The table of the rows where keep is True."""
+    return SweepTable(
+        {k: v[keep] for k, v in table.values.items()},
+        *(c[keep] for c in (table.alpha_sq, table.var_x, table.var_p, table.ok, table.reason)),
+        table.params, table.tags,
+    )
+
+
 @pytest.mark.parametrize(
     "method, axes, constraints, prefixes",
     [
         *EDGE_GRIDS,
         pytest.param(*OM_CC_UNDERFLOW, id="om_amplitude-cc-underflow"),
         pytest.param(*OM_PRODUCT_OVERFLOW, id="om_amplitude-product-overflow"),
+        pytest.param(*OPO_SEED_CAP, id="opo_phase-seed-cap"),
     ],
     ids=lambda v: getattr(v, "value", ""),
 )
@@ -181,18 +199,23 @@ def test_edge_grid_masks_match_scalar_messages(method, axes, constraints, prefix
     grid = SweepGrid(method, axes, constraints)
     with np.errstate(invalid="ignore"):  # linspace to inf
         table = frontier_module.sweep(grid)
+    reasons = set()
     if constraints:  # the cap is a sweep constraint, not a scalar check
-        capped = table.values["seed_ratio"] > constraints["seed_input_cap"]
-        assert all(r.startswith("seed_ratio 3 exceeds") for r in table.reason[capped])
-        table = SweepTable(
-            {k: v[~capped] for k, v in table.values.items()},
-            *(c[~capped] for c in (table.alpha_sq, table.var_x, table.var_p, table.ok,
-                                   table.reason)),
-            table.params, table.tags,
-        )
-    reasons = assert_matches_scalar(method, table)
-    if constraints:
-        reasons.add("seed_ratio 3 exceeds seed input cap 2")
+        cap = constraints["seed_input_cap"]
+        seed = table.values["seed_ratio"]
+        capped = seed > cap
+        assert table.reason[capped].tolist() == [
+            f"seed_ratio {s:g} exceeds seed input cap {cap:g}" for s in seed[capped].tolist()
+        ]
+        assert not table.ok[capped].any()
+        reasons |= set(table.reason[capped])
+        with np.errstate(invalid="ignore"):
+            uncapped = frontier_module.sweep(SweepGrid(method, axes))
+        table, uncapped = (_rows(t, ~capped) for t in (table, uncapped))
+        for col in ("alpha_sq", "var_x", "var_p", "ok"):  # bit for bit, NaN too
+            assert getattr(table, col).tobytes() == getattr(uncapped, col).tobytes()
+        assert table.reason.tolist() == uncapped.reason.tolist()
+    reasons |= assert_matches_scalar(method, table)
     for prefix in prefixes:
         assert any(r.startswith(prefix) for r in reasons), prefix
 
@@ -262,6 +285,7 @@ WRITER_GRIDS = [
     *((method, axes, constraints) for method, axes, constraints, _ in EDGE_GRIDS),
     pytest.param(*OM_CC_UNDERFLOW[:3], id="om_amplitude-cc-underflow"),
     pytest.param(*OM_PRODUCT_OVERFLOW[:3], id="om_amplitude-product-overflow"),
+    pytest.param(*OPO_SEED_CAP[:3], id="opo_phase-seed-cap"),
     # -0.0 in both axes, in ok and skipped rows; linspace ends exactly at hi
     (Method.BEAM_SPLITTER, (Axis("b", -1.0, -0.0, 3), Axis("theta", -1.0, -0.0, 3)), {}),
     (Method.BEAM_SPLITTER, (), {}),  # one row, no axes: empty "values"
@@ -443,13 +467,15 @@ def _limited() -> None:
          "--out", "-"),
         ("frontier", "--method", "opo_phase", "--axis", "c0=0.1:0.9:100000",
          "--axis", "seed_ratio=0.1:1:100000", "--out", "-"),
-        ("opa-trajectory", "--seed-ratio", "0.1", "--t-max", "1e9"),
-        ("opa-trajectory", "--seed-ratio", "0.1", "--n-steps", "1000000000000"),
+        ("opa-trajectory", "--seed-ratio", "0.1", "--t-max", "1e9", "--check-steps"),
+        ("opa-trajectory", "--seed-ratio", "0.1", "--n-steps", "1000000000000",
+         "--check-steps"),
         ("opa-trajectory", "--seed-ratio", "0.1", "--t-max", "inf"),
         ("frontier", "--method", "bs", "--bins", "1e-6:1:1000000000", "--out", "-"),
+        ("opa-trajectory", "--seed-ratio", "0.1", "--samples", "1000000000000"),
     ],
     ids=["sweep", "frontier", "trajectory-t-max", "trajectory-n-steps", "trajectory-inf",
-         "frontier-bins"],
+         "frontier-bins", "trajectory-samples"],
 )
 def test_work_cap_exits_2(argv):
     proc = subprocess.run(

@@ -171,6 +171,11 @@ def test_grid_missing_required_axis_rejected(method, axes, missing):
         SweepGrid(method=method, axes=axes)
 
 
+def test_negative_tau_axis_rejected_by_the_grid():
+    with pytest.raises(ConfigError, match="tau axis must be non-negative"):
+        SweepGrid(Method.OPA_PHASE, (Axis("seed_ratio", 0.1, 1.0, 3), Axis("tau", -1.0, 1.0, 3)))
+
+
 def test_nan_seed_cap_rejected():
     axes = default_grid(Method.OPA_PHASE).axes
     with pytest.raises(ConfigError, match="seed_input_cap"):

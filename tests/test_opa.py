@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sqzlab.core import DomainError, Regime, uncertainty
+from sqzlab.cli import main
+from sqzlab.core import MAX_GRID_POINTS, DomainError, Regime, uncertainty
 from sqzlab.opa import (
     NonConvergenceError,
     OpaParams,
@@ -52,14 +53,14 @@ def test_mean_field_matches_rk4_oracle(regime, seed):
 
 def test_conservation_along_trajectory():
     seed = 0.2
-    traj = opa_propagate(OpaParams(seed, 5.0, PHASE, 2048))
+    traj = opa_propagate(OpaParams(seed, 5.0, PHASE), 2048)
     c1 = 1.0 + seed**2 / 2.0
     drift = np.abs(traj.a_s**2 / 2.0 + traj.a_p**2 - c1) / c1
     assert drift.max() < 1e-12  # closed form conserves it to roundoff
 
 
 def test_vacuum_initial_noise():
-    traj = opa_propagate(OpaParams(0.1, 1.0, PHASE, 64))
+    traj = opa_propagate(OpaParams(0.1, 1.0, PHASE), 64)
     assert np.allclose(traj.cov_x[0], np.eye(2))
     assert np.allclose(traj.cov_p[0], np.eye(2))
     assert uncertainty(traj.seed_stats(0)) == 1.0
@@ -67,7 +68,7 @@ def test_vacuum_initial_noise():
 
 def test_unseeded_constant_pump_limit():
     # with no seed the pump stays put and the seed noise evolves as e^{-/+2 tau}
-    traj = opa_propagate(OpaParams(0.0, 2.0, AMP, 2048))
+    traj = opa_propagate(OpaParams(0.0, 2.0, AMP), 2048)
     taus = traj.times
     vx = traj.cov_x[:, 0, 0]
     vp = traj.cov_p[:, 0, 0]
@@ -76,7 +77,7 @@ def test_unseeded_constant_pump_limit():
 
 
 def test_covariance_positive_definite():
-    traj = opa_propagate(OpaParams(0.05, 6.0, PHASE, 4096))
+    traj = opa_propagate(OpaParams(0.05, 6.0, PHASE), 4096)
     for cov in (traj.cov_x, traj.cov_p):
         eig_min = np.linalg.eigvalsh(cov).min()
         assert eig_min > 0.0
@@ -84,14 +85,14 @@ def test_covariance_positive_definite():
 
 def test_joint_state_stays_pure():
     for seed, regime in ((0.01, PHASE), (0.2, AMP)):
-        traj = opa_propagate(OpaParams(seed, 5.0, regime))
+        traj = opa_propagate(OpaParams(seed, 5.0, regime), 20480)
         det_x = np.linalg.det(traj.cov_x)
         det_p = np.linalg.det(traj.cov_p)
         assert np.abs(det_x * det_p - 1.0).max() < 1e-6
 
 
 def test_seed_marginal_respects_heisenberg():
-    traj = opa_propagate(OpaParams(0.05, 6.0, PHASE, 8192))
+    traj = opa_propagate(OpaParams(0.05, 6.0, PHASE), 8192)
     u = np.sqrt(traj.cov_x[:, 0, 0] * traj.cov_p[:, 0, 0])
     assert u.min() >= 1.0 - 1e-9
 
@@ -108,9 +109,9 @@ def test_rk4_convergence_order():
 
 def test_nonconvergence_flag():
     with pytest.raises(NonConvergenceError):
-        opa_propagate(OpaParams(0.3, 6.0, PHASE, 4), check_steps=True)
+        opa_propagate(OpaParams(0.3, 6.0, PHASE), 4, check_steps=4)
     # a well resolved trajectory passes the same check
-    opa_propagate(OpaParams(0.3, 1.0, PHASE, 2048), check_steps=True)
+    opa_propagate(OpaParams(0.3, 1.0, PHASE), 2048, check_steps=2048)
 
 
 @pytest.mark.parametrize("regime", [PHASE, AMP])
@@ -129,14 +130,14 @@ def test_zero_seed_limit_is_exact(regime):
 @pytest.mark.parametrize("regime", [PHASE, AMP])
 def test_closed_form_joint_purity(regime):
     for seed in (0.0, 1e-3, 0.05, 1.0, 3.0):
-        traj = opa_propagate(OpaParams(seed, 6.0, regime))
+        traj = opa_propagate(OpaParams(seed, 6.0, regime), 24576)
         det = np.linalg.det(traj.cov_x) * np.linalg.det(traj.cov_p)
         assert np.abs(det - 1.0).max() <= 1e-10
 
 
 def test_evaluate_is_exact_at_t():
-    # t is used as given, whatever the step count in the params
-    pt = opa_evaluate(OpaParams(0.3, 2.0, PHASE, 2), 1.2345)
+    # t is used as given, off any time grid
+    pt = opa_evaluate(OpaParams(0.3, 2.0, PHASE), 1.2345)
     _, a_s, _, comp = opa_covariance_rk4(np.array([0.3]), 1.0, 1.2345, 4096)
     assert pt.params["tau"] == 1.2345
     assert pt.stats.var_x == pytest.approx(comp[-1, 0, 0], rel=1e-10)
@@ -164,7 +165,7 @@ def test_deamplifying_brightness_initially_decreasing():
 
 
 def test_amplifying_brightness_rises_then_falls():
-    traj = opa_propagate(OpaParams(0.05, 8.0, PHASE, 4096))
+    traj = opa_propagate(OpaParams(0.05, 8.0, PHASE), 4096)
     a2 = traj.a_s**2
     peak = int(a2.argmax())
     assert 0 < peak < len(a2) - 1
@@ -172,7 +173,7 @@ def test_amplifying_brightness_rises_then_falls():
 
 
 def test_max_squeezing_before_max_amplitude():
-    traj = opa_propagate(OpaParams(0.05, 6.0, PHASE))
+    traj = opa_propagate(OpaParams(0.05, 6.0, PHASE), 24576)
     i_squeeze = int(traj.cov_p[:, 0, 0].argmin())
     i_amp = int((traj.a_s**2).argmax())
     assert traj.times[i_squeeze] < traj.times[i_amp]
@@ -182,7 +183,7 @@ def test_propagate_batch_matches_single():
     seeds = [0.01, 0.1, 0.4]
     batch = propagate_batch(seeds, PHASE, 2.0, 512)
     for seed, traj in zip(seeds, batch):
-        single = opa_propagate(OpaParams(seed, 2.0, PHASE, 512))
+        single = opa_propagate(OpaParams(seed, 2.0, PHASE), 512)
         assert np.allclose(traj.cov_x, single.cov_x, atol=1e-14)
         assert np.allclose(traj.cov_p, single.cov_p, atol=1e-14)
         assert np.allclose(traj.a_s, single.a_s)
@@ -193,12 +194,17 @@ def test_param_validation():
         OpaParams(-0.1, 1.0)
     with pytest.raises(DomainError):
         OpaParams(0.1, 0.0)
-    with pytest.raises(DomainError):
-        OpaParams(0.1, 1.0, PHASE, 1)
+    for samples, check_steps in ((0, 0), (MAX_GRID_POINTS, 0), (16, 1), (16, MAX_GRID_POINTS + 1)):
+        with pytest.raises(DomainError):
+            opa_propagate(OpaParams(0.1, 1.0), samples, check_steps)
     with pytest.raises(DomainError):
         opa_evaluate(OpaParams(0.1, 1.0), 2.0)
 
 
-def test_default_step_density():
-    params = OpaParams(0.1, 2.0)
-    assert params.n_steps == 8192
+def test_default_step_density(capsys):
+    # 4096 RK4 steps per unit of t_max, only when the check runs
+    assert main(["opa-trajectory", "--seed-ratio", "0.1", "--t-max", "2", "--samples", "4",
+                 "--check-steps"]) == 0
+    assert "# n_steps = 8192\n" in capsys.readouterr().out
+    assert main(["opa-trajectory", "--seed-ratio", "0.1", "--t-max", "2", "--samples", "4"]) == 0
+    assert "n_steps" not in capsys.readouterr().out
