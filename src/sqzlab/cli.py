@@ -152,10 +152,13 @@ def parse_methods(spec: str) -> list[Method]:
         if not name:
             continue
         try:
-            out.append(Method(name))
+            method = Method(name)
         except ValueError:
             valid = ", ".join(m.value for m in Method)
             raise ConfigError(f"unknown method {name!r}; expected one of {valid}")
+        if method in out:
+            raise ConfigError(f"method {name!r} is given twice")
+        out.append(method)
     if not out:
         raise ConfigError("methods list is empty")
     return out

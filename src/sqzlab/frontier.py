@@ -90,6 +90,8 @@ class Axis:
             raise ConfigError(f"axis {self.name!r} needs count >= 2")
         if not self.lo < self.hi:
             raise ConfigError(f"axis {self.name!r} needs lo < hi")
+        if not self.hi - self.lo < math.inf:
+            raise ConfigError(f"axis {self.name!r} needs a finite span hi - lo")
         if self.spacing is Spacing.LOG and self.lo <= 0.0:
             raise ConfigError(f"log axis {self.name!r} needs lo > 0")
 
@@ -129,6 +131,11 @@ class SweepGrid:
                 raise ConfigError(f"unknown constraint {key!r}")
             if math.isnan(value):
                 raise ConfigError("seed_input_cap must be a number, got nan")
+            if "seed_ratio" not in seen:
+                raise ConfigError(
+                    f"seed_input_cap caps a seed_ratio axis; the {self.method.value}"
+                    " grid has none"
+                )
         points = math.prod(ax.count for ax in self.axes)
         if points > MAX_GRID_POINTS:
             raise ConfigError(

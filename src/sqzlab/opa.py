@@ -44,9 +44,11 @@ One helper evaluates the mean fields and both blocks at seeds and times
 that broadcast: `evolve` and trajectories take every seed at every time,
 sweeps (`opa_columns`) and `opa_evaluate` the rows of two columns. A
 covariance that overflows double precision is reported as a DomainError.
-`sqzlab.oracle.opa_covariance_rk4` integrates the same equations with
-fixed-step RK4; `opa_propagate(..., check_steps=n)` runs it over n steps
-and raises NonConvergenceError when it departs from the closed form.
+`sqzlab.oracle.opa_covariance_rk4` integrates dV/dt = M V + V M^T with
+fixed-step RK4 on all four quadratures at once, with the oracle's
+`parametric_drift` (M_x and M_p are its X and P slices);
+`opa_propagate(..., check_steps=n)` runs it over n steps and raises
+NonConvergenceError when it departs from the closed form.
 """
 
 from __future__ import annotations
@@ -260,11 +262,11 @@ def opa_propagate(
     if check_steps:
         from .oracle import opa_covariance_gap, opa_covariance_rk4  # oracle imports us
 
-        times, _, _, comp = opa_covariance_rk4(
+        times, _, _, rk4_x, rk4_p = opa_covariance_rk4(
             np.array([params.seed_ratio]), params.pump_sign, params.t_max, check_steps
         )
         _, _, cov_x, cov_p = evolve([params.seed_ratio], params.regime, times)
-        gap = opa_covariance_gap(cov_x[0], cov_p[0], comp[:, :, 0])
+        gap = opa_covariance_gap(cov_x, cov_p, rk4_x, rk4_p)
         if not gap <= 1e-6:
             raise NonConvergenceError(
                 f"RK4 at n_steps={check_steps} departs from the closed-form "

@@ -5,14 +5,17 @@ Four small engines live here:
 * a symplectic Gaussian-state simulator (squeeze, displace, beam-splitter)
   used to cross-check the beam-splitter evaluator,
 * a fixed-step RK4 integrator for the nonlinear parametric-amplifier
-  mean-field pair, used to cross-check the analytic tanh/sech solution, and
+  mean-field pair, used to cross-check the analytic tanh/sech solution,
 * a fixed-step RK4 integrator for the amplifier's linearized noise
-  covariance (dV/dt = M V + V M^T per quadrature sector, mean fields taken
-  from the closed form), used to cross-check the closed-form covariance
-  of `sqzlab.opa` and behind `opa_propagate(..., check_steps=n)`, and
+  covariance (dV/dt = M V + V M^T on all four quadratures, mean fields
+  taken from the closed form), used to cross-check `sqzlab.opa` and behind
+  `opa_propagate(..., check_steps=n)`, and
 * for the OPO, a bisection for the steady state and the zero-frequency
   input-output map of the linearized cavity (Gardiner & Collett, PRA 31,
   3761 (1985)), used to cross-check `sqzlab.opo`.
+
+The amplifier and the OPO share one interaction, linearized once in
+`parametric_drift`; the OPO's cavity adds the damping -I/2 to it.
 
 They are shipped (not test-only) so every published number can be
 reproduced from the installed package.
@@ -137,6 +140,23 @@ def mode_variances(state: GaussianState, mode: int) -> tuple[float, float]:
     return float(state.cov[i, i]), float(state.cov[i + 1, i + 1])
 
 
+def parametric_drift(a_s: np.ndarray, a_p: np.ndarray) -> np.ndarray:
+    """Drift (..., 4, 4) of the linearized parametric interaction on
+    (X_s, P_s, X_p, P_p) about real mean fields (a_s, a_p).
+
+    The pair dA_s/dt = A_s A_p, dA_p/dt = -A_s^2/2 drives both the
+    amplifier and, with the cavity's damping added, the OPO. Real fields
+    decouple the X and P sectors, the slices [..., 0::2, 0::2] and
+    [..., 1::2, 1::2]: [[A_p, A_s], [-A_s, 0]] and [[-A_p, A_s], [-A_s, 0]].
+    """
+    a_s, a_p = np.broadcast_arrays(np.asarray(a_s, float), np.asarray(a_p, float))
+    m = np.zeros(a_s.shape + (4, 4))
+    m[..., 0, 0], m[..., 1, 1] = a_p, -a_p
+    m[..., 0, 2] = m[..., 1, 3] = a_s
+    m[..., 2, 0] = m[..., 3, 1] = -a_s
+    return m
+
+
 def mean_field_ode(
     seed_amp: float,
     pump_amp: float,
@@ -189,69 +209,52 @@ def mean_field_ode(
 
 def opa_covariance_rk4(
     seed_ratios: np.ndarray, pump_sign: float, t_max: float, n_steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 on the amplifier's sector covariances for a batch of seeds at once.
+) -> tuple[np.ndarray, ...]:
+    """RK4 on the amplifier's 4x4 covariance for a batch of seeds at once.
 
-    Returns times (n+1,), fields a_s and a_p (n+1, B) and the six covariance
-    components stacked as (n+1, 6, B) in the order
-    (vx_ss, vx_sp, vx_pp, vp_ss, vp_sp, vp_pp).
+    Integrates dV/dt = M V + V M^T from the vacuum, with M the
+    parametric_drift at the closed-form mean fields. Returns times (n+1,),
+    fields a_s and a_p (seeds, n+1) and the sector blocks cov_x, cov_p
+    (seeds, n+1, 2, 2), in the layout of `sqzlab.opa.evolve`.
     """
-    b = len(seed_ratios)
     half_times = np.linspace(0.0, t_max, 2 * n_steps + 1)
-    a_s = np.empty((2 * n_steps + 1, b))
-    a_p = np.empty((2 * n_steps + 1, b))
+    a_s, a_p = fields = np.empty((2, 2 * n_steps + 1, len(seed_ratios)))
     for j, sr in enumerate(seed_ratios):
-        a_s[:, j], a_p[:, j] = mean_fields(half_times, float(sr), pump_sign)
+        fields[:, :, j] = mean_fields(half_times, float(sr), pump_sign)
+
+    def rate(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        mv = m @ v
+        return mv + mv.swapaxes(-1, -2)
 
     h = t_max / n_steps
-    y = np.zeros((6, b))
-    y[0] = y[2] = y[3] = y[5] = 1.0  # vacuum
-    out = np.empty((n_steps + 1, 6, b))
-    out[0] = y
-
-    def rhs(y: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
-        vx_ss, vx_sp, vx_pp, vp_ss, vp_sp, vp_pp = y
-        return np.stack(
-            [
-                2.0 * (a * vx_ss + s * vx_sp),
-                a * vx_sp + s * vx_pp - s * vx_ss,
-                -2.0 * s * vx_sp,
-                2.0 * (-a * vp_ss + s * vp_sp),
-                -a * vp_sp + s * vp_pp - s * vp_ss,
-                -2.0 * s * vp_sp,
-            ]
-        )
-
+    y = np.tile(np.eye(4), (len(seed_ratios), 1, 1))  # vacuum
+    cov_x = np.empty((len(seed_ratios), n_steps + 1, 2, 2))
+    cov_p = np.empty_like(cov_x)
+    cov_x[:, 0], cov_p[:, 0] = y[:, 0::2, 0::2], y[:, 1::2, 1::2]
+    m0 = parametric_drift(a_s[0], a_p[0])
     for i in range(n_steps):
-        a0, s0 = a_p[2 * i], a_s[2 * i]
-        am, sm = a_p[2 * i + 1], a_s[2 * i + 1]
-        a1, s1 = a_p[2 * i + 2], a_s[2 * i + 2]
-        k1 = rhs(y, a0, s0)
-        k2 = rhs(y + 0.5 * h * k1, am, sm)
-        k3 = rhs(y + 0.5 * h * k2, am, sm)
-        k4 = rhs(y + h * k3, a1, s1)
+        mm, m1 = parametric_drift(a_s[2 * i + 1:2 * i + 3], a_p[2 * i + 1:2 * i + 3])
+        k1 = rate(m0, y)
+        k2 = rate(mm, y + 0.5 * h * k1)
+        k3 = rate(mm, y + 0.5 * h * k2)
+        k4 = rate(m1, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = y
-
-    times = np.linspace(0.0, t_max, n_steps + 1)
-    return times, a_s[::2], a_p[::2], out
+        cov_x[:, i + 1], cov_p[:, i + 1] = y[:, 0::2, 0::2], y[:, 1::2, 1::2]
+        m0 = m1
+    return half_times[::2], a_s[::2].T, a_p[::2].T, cov_x, cov_p
 
 
 def opa_covariance_gap(
-    cov_x: np.ndarray, cov_p: np.ndarray, components: np.ndarray
+    cov_x: np.ndarray, cov_p: np.ndarray, rk4_x: np.ndarray, rk4_p: np.ndarray
 ) -> float:
-    """Largest departure of RK4 components (n, 6) from covariance blocks (n, 2, 2).
-
-    Each entry V_ij is compared relative to sqrt(V_ii V_jj), which bounds
-    |V_ij|, so an off-diagonal entry passing through zero is not divided
-    by zero.
-    """
+    """Largest departure of RK4 blocks from closed-form ones, all (..., 2, 2):
+    each entry V_ij relative to sqrt(V_ii V_jj), which bounds |V_ij|, so an
+    off-diagonal entry passing through zero is not divided by zero."""
     gap = 0.0
-    for cov, rk4 in ((cov_x, components[:, 0:3]), (cov_p, components[:, 3:6])):
-        d = np.sqrt(cov[:, [0, 1], [0, 1]])
-        scale = d[:, [0, 0, 1]] * d[:, [0, 1, 1]]
-        ref = cov[:, [0, 0, 1], [0, 1, 1]]  # (ss, sp, pp)
-        gap = max(gap, float(np.max(np.abs(rk4 - ref) / scale)))
+    for cov, rk4 in ((cov_x, rk4_x), (cov_p, rk4_p)):
+        d = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+        scale = d[..., :, None] * d[..., None, :]
+        gap = max(gap, float(np.max(np.abs(rk4 - cov) / scale)))
     return gap
 
 
@@ -285,26 +288,21 @@ def opo_steady_state_bisect(
     return a_s, -a_s * a_s - 2.0 * pump, gain * gain
 
 
-def opo_output_variances(a_s: np.ndarray, a_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(var_x, var_p) of the OPO output at zero frequency from its steady state.
+def opo_output_covariance(a_s: np.ndarray, a_p: np.ndarray) -> np.ndarray:
+    """Zero-frequency output covariance (..., 4, 4) of the OPO from its steady state.
 
-    The linearized cavity has drift matrices, on (signal, pump) quadratures,
-
-        M_x = [[-1/2 + A_p, A_s], [-A_s, -1/2]]
-        M_p = [[-1/2 - A_p, A_s], [-A_s, -1/2]]
-
-    and vacuum inputs; the output quadratures are T = I + M^{-1} times the
-    inputs, so their covariance is V = T T^T and the signal's variance is
-    V[0, 0].
+    The cavity damps both modes at rate 1/2 on top of the parametric
+    interaction, so the linearized drift is M - I/2 with M =
+    parametric_drift(a_s, a_p). For vacuum inputs at unit coupling the
+    output quadratures are T = I + (M - I/2)^-1 times the inputs, and
+    their covariance is V = T T^T.
     """
-    a_s, a_p = np.broadcast_arrays(np.asarray(a_s, float), np.asarray(a_p, float))
-    out = []
-    for sign in (1.0, -1.0):
-        m = np.empty(a_s.shape + (2, 2))
-        m[..., 0, 0] = -0.5 + sign * a_p
-        m[..., 0, 1] = a_s
-        m[..., 1, 0] = -a_s
-        m[..., 1, 1] = -0.5
-        t = np.eye(2) + np.linalg.inv(m)
-        out.append(np.einsum("...ij,...ij->...i", t, t)[..., 0])
-    return out[0], out[1]
+    t = np.eye(4) + np.linalg.inv(parametric_drift(a_s, a_p) - 0.5 * np.eye(4))
+    return t @ t.swapaxes(-1, -2)
+
+
+def opo_output_variances(a_s: np.ndarray, a_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(var_x, var_p) of the OPO's signal output: V[0, 0] and V[1, 1] of
+    opo_output_covariance."""
+    v = opo_output_covariance(a_s, a_p)
+    return v[..., 0, 0], v[..., 1, 1]

@@ -401,15 +401,6 @@ def test_sweep_skips_om_rows_whose_uncertainty_overflows_without_warning():
     assert all(",ok," in r for r in rows if r not in skipped)
 
 
-def test_sweep_spells_nonfinite_axis_values_per_format(capsys):
-    argv = ["sweep", "--method", "bs", "--axis", "b=0:inf:3", "--axis", "theta=0:1:2"]
-    with np.errstate(invalid="ignore"):  # linspace to inf
-        code, out, _ = run(capsys, *argv, "--format", "json", "--out", "-")
-        assert code == 0 and '"b": NaN' in out and '"b": Infinity' in out
-        code, out, _ = run(capsys, *argv, "--format", "csv", "--out", "-")
-    assert code == 0 and "\nbs,nan,0.0," in out and "\nbs,inf,1.0," in out
-
-
 def test_unknown_config_key_rejected(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("methods = bs\nthreshold = 1.5\n")
@@ -481,9 +472,24 @@ def test_infinite_bin_edge_exits_2():
         (("sweep",), "methods = bs\nbins = 1e-6:1\n", "bad bins '1e-6:1'"),
         (("sweep", "--method", "bs", "--config", "missing.conf"), None,
          "cannot read config file 'missing.conf': No such file or directory"),
+        # an infinite bound, or a span hi - lo that overflows, is never swept
+        (("sweep", "--method", "bs", "--axis", "b=0:inf:3"), None,
+         "axis 'b' needs a finite span hi - lo"),
+        (("sweep", "--method", "bs", "--axis", "b=-1e308:1e308:3"), None,
+         "axis 'b' needs a finite span hi - lo"),
+        (("sweep", "--method", "opa_phase", "--axis", "seed_ratio=0:inf:3"), None,
+         "axis 'seed_ratio' needs a finite span hi - lo"),
+        # a seed cap on a grid with no seed_ratio axis caps nothing
+        (("sweep", "--method", "bs", "--seed-cap", "0.5"), None,
+         "seed_input_cap caps a seed_ratio axis; the bs grid has none"),
+        (("frontier", "--method", "bs,opo_phase", "--seed-cap", "1", "--out", "run"), None,
+         "seed_input_cap caps a seed_ratio axis; the bs grid has none"),
+        (("frontier", "--method", "bs,bs", "--out", "run"), None, "method 'bs' is given twice"),
     ],
     ids=["sweep-format", "frontier-format", "sweep-svg", "seed-cap", "empty-out",
-         "nul-out", "sweep-bad-bins", "missing-config"],
+         "nul-out", "sweep-bad-bins", "missing-config", "inf-axis", "overflowing-axis",
+         "inf-seed-axis", "unseeded-seed-cap", "multi-method-unseeded-seed-cap",
+         "repeated-method"],
 )
 def test_schema_rejects_bad_values_before_sweeping(
     tmp_path, capsys, monkeypatch, argv, conf_text, message
@@ -497,6 +503,7 @@ def test_schema_rejects_bad_values_before_sweeping(
     code, out, err = run(capsys, *argv, "--axis", "b=0:1:2", "--axis", "theta=0:1:2")
     assert (code, out) == (2, "")
     assert message in err
+    assert list(tmp_path.iterdir()) == ([tmp_path / "run.conf"] if conf_text else [])
 
 
 def test_multi_method_frontier_checks_every_grid_before_writing(tmp_path, capsys):
@@ -592,6 +599,8 @@ def _runs(draw):
     text = {"methods": ",".join(methods)}
     text |= {key: draw(strategy) for key, strategy in _VALID.items()}
     text["axes"] = ";".join(draw(_axis(name)) for name in names)
+    if "seed_ratio" not in names:  # a cap without a seed axis is malformed
+        del text["seed_cap"]
     if command == "sweep" and text["format"] == "svg":
         text["format"] = "csv"
     lines = ["# generated"]

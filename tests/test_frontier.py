@@ -66,6 +66,9 @@ def test_axis_validation():
         Axis("b", 1.0, 0.5, 5)
     with pytest.raises(ConfigError):
         Axis("b", 0.0, 1.0, 5, Spacing.LOG)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)):
+        with pytest.raises(ConfigError, match="needs a finite span hi - lo"):
+            Axis("b", lo, hi, 3)
 
 
 def test_om_sweep_records_domain_errors_as_skips():
@@ -174,6 +177,20 @@ def test_grid_missing_required_axis_rejected(method, axes, missing):
 def test_negative_tau_axis_rejected_by_the_grid():
     with pytest.raises(ConfigError, match="tau axis must be non-negative"):
         SweepGrid(Method.OPA_PHASE, (Axis("seed_ratio", 0.1, 1.0, 3), Axis("tau", -1.0, 1.0, 3)))
+
+
+@pytest.mark.parametrize(
+    "method, axes",
+    [
+        (Method.BEAM_SPLITTER, default_grid(Method.BEAM_SPLITTER).axes),
+        (Method.OPO_PHASE, (Axis("c0", 0.1, 0.9, 3),)),
+        (Method.OM_AMPLITUDE, default_grid(Method.OM_AMPLITUDE).axes),
+    ],
+    ids=lambda v: getattr(v, "value", ""),
+)
+def test_seed_cap_without_seed_axis_rejected(method, axes):
+    with pytest.raises(ConfigError, match=f"the {method.value} grid has none"):
+        SweepGrid(method, axes, {"seed_input_cap": 1.0})
 
 
 def test_nan_seed_cap_rejected():

@@ -101,8 +101,8 @@ def test_rk4_convergence_order():
     # the RK4 covariance validator converges at 4th order in the step
     vals = []
     for n in (512, 1024, 2048):
-        _, _, _, comp = opa_covariance_rk4(np.array([0.05]), 1.0, 3.0, n)
-        vals.append(comp[-1, 3, 0])  # vp_ss at t = 3
+        _, _, _, _, rk4_p = opa_covariance_rk4(np.array([0.05]), 1.0, 3.0, n)
+        vals.append(rk4_p[0, -1, 0, 0])  # vp_ss at t = 3
     order = math.log2(abs(vals[0] - vals[1]) / abs(vals[1] - vals[2]))
     assert order == pytest.approx(4.0, abs=0.4)
 
@@ -138,11 +138,11 @@ def test_closed_form_joint_purity(regime):
 def test_evaluate_is_exact_at_t():
     # t is used as given, off any time grid
     pt = opa_evaluate(OpaParams(0.3, 2.0, PHASE), 1.2345)
-    _, a_s, _, comp = opa_covariance_rk4(np.array([0.3]), 1.0, 1.2345, 4096)
+    _, a_s, _, rk4_x, rk4_p = opa_covariance_rk4(np.array([0.3]), 1.0, 1.2345, 4096)
     assert pt.params["tau"] == 1.2345
-    assert pt.stats.var_x == pytest.approx(comp[-1, 0, 0], rel=1e-10)
-    assert pt.stats.var_p == pytest.approx(comp[-1, 3, 0], rel=1e-10)
-    assert pt.alpha_sq == pytest.approx(a_s[-1, 0] ** 2, rel=1e-12)
+    assert pt.stats.var_x == pytest.approx(rk4_x[0, -1, 0, 0], rel=1e-10)
+    assert pt.stats.var_p == pytest.approx(rk4_p[0, -1, 0, 0], rel=1e-10)
+    assert pt.alpha_sq == pytest.approx(a_s[0, -1] ** 2, rel=1e-12)
 
 
 def test_evaluate_overflow_is_a_domain_error():

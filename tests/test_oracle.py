@@ -19,8 +19,10 @@ from sqzlab.oracle import (
     mode_variances,
     opa_covariance_gap,
     opa_covariance_rk4,
+    opo_output_covariance,
     opo_output_variances,
     opo_steady_state_bisect,
+    parametric_drift,
     symplectic_form,
     vacuum,
 )
@@ -160,10 +162,10 @@ def test_opa_closed_form_covariance_matches_rk4(regime):
     pump = 1.0 if regime is Regime.PHASE_SQUEEZING else -1.0
     seeds = np.logspace(-3, math.log10(30.0), 40)
     for band, n_steps in ((seeds <= 5.0, 6144), (seeds > 5.0, 36864)):
-        times, _, _, comp = opa_covariance_rk4(seeds[band], pump, 6.0, n_steps)
+        times, _, _, rk4_x, rk4_p = opa_covariance_rk4(seeds[band], pump, 6.0, n_steps)
         _, _, cov_x, cov_p = evolve(seeds[band], regime, times)
         for j in range(band.sum()):
-            assert opa_covariance_gap(cov_x[j], cov_p[j], comp[:, :, j]) <= 1e-8
+            assert opa_covariance_gap(cov_x[j], cov_p[j], rk4_x[j], rk4_p[j]) <= 1e-8
 
 
 OPO_GRIDS = [
@@ -234,3 +236,26 @@ def test_opo_input_output_map_of_the_vacuum():
         u = sign * c0
         assert np.allclose(var_x, ((1.0 + u) / (1.0 - u)) ** 2, rtol=1e-14)
         assert np.allclose(var_p, ((1.0 - u) / (1.0 + u)) ** 2, rtol=1e-14)
+
+
+@pytest.mark.parametrize("method, regime", OPO_GRIDS, ids=["phase", "amplitude"])
+def test_opo_output_covariance_is_physical_pure_and_sector_diagonal(method, regime):
+    values = frontier_module.sweep(default_grid(method)).values
+    a_s, a_p, _ = opo_steady_state_bisect(values["c0"], values["seed_ratio"], regime)
+    v = opo_output_covariance(a_s, a_p)
+    # measured: min eigenvalue of V + i Omega -1.7e-13, |det V - 1| 3.2e-13
+    assert is_physical(GaussianState(np.zeros(4), v))
+    assert np.abs(np.linalg.det(v) - 1.0).max() <= 1e-9
+    # X_s and P_s are uncorrelated, so U = sqrt(var_x var_p) is sqrt(det) of
+    # the signal's block
+    assert np.all(v[:, 0, 1] == 0.0) and np.all(v[:, 1, 0] == 0.0)
+
+
+def test_parametric_drift_sectors():
+    m = parametric_drift(np.array([0.3, 0.0]), np.array([-0.7, 1.0]))
+    assert m.shape == (2, 4, 4)
+    assert np.array_equal(m[0, 0::2, 0::2], [[-0.7, 0.3], [-0.3, 0.0]])
+    assert np.array_equal(m[0, 1::2, 1::2], [[0.7, 0.3], [-0.3, 0.0]])
+    assert not m[:, 0::2, 1::2].any() and not m[:, 1::2, 0::2].any()
+    # the X sector is the Jacobian of (A_s A_p, -A_s^2/2); the P sector is -M_x^T
+    assert np.array_equal(m[:, 1::2, 1::2], -m[:, 0::2, 0::2].swapaxes(-1, -2))
