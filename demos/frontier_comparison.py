@@ -23,7 +23,7 @@ METHODS = (
 os.makedirs(OUT_DIR, exist_ok=True)
 at_tenth = {}
 for method in METHODS:
-    curves = frontier_suite(method, THRESHOLDS, default_grid(method), BINS)
+    curves = frontier_suite(default_grid(method), THRESHOLDS, BINS)
     path = os.path.join(OUT_DIR, f"frontier_{method.value}.svg")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(frontier_svg(curves, title=f"optimal squeezing: {method.value}"))

@@ -67,13 +67,6 @@ def _fnum(x: float) -> str:
     return repr(float(x))
 
 
-def _regime(name: str) -> Regime:
-    try:
-        return Regime(name)
-    except ValueError:
-        raise ConfigError(f"regime must be 'phase' or 'amplitude', got {name!r}")
-
-
 # ---------------------------------------------------------------- config
 
 
@@ -245,6 +238,14 @@ def _axis_reprs(col: np.ndarray, json_numbers: bool) -> np.ndarray:
     return np.array(_reprs(values, json_numbers), dtype=object)[row_of]
 
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer's QUOTE_MINIMAL writes a field: in double quotes,
+    inner ones doubled, where it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _joined(pieces: list) -> list[str]:
     """The text of each row: the str pieces as they are, and from each column
     piece (a list of str, one per row) the row's own item."""
@@ -270,7 +271,8 @@ def _rows(
     ok_row gets the text of the ok rows' alpha_sq, var_x, var_p, squeeze_db
     and uncertainty (as squeeze_metrics gives them) and of their axis values,
     and returns the pieces of those rows (see _joined); skipped_row gets the
-    skipped rows' reasons (JSON strings with json_numbers) and axis values.
+    skipped rows' reasons (JSON strings with json_numbers, else CSV fields)
+    and axis values.
     """
     ok = table.ok
     axes = [_axis_reprs(col, json_numbers) for col in table.values.values()]
@@ -285,9 +287,10 @@ def _rows(
     rows[ok] = good
     del good
     reasons = table.reason[~ok].tolist()
-    if json_numbers:
-        reasons = list(map(encode_basestring_ascii, reasons))
-    rows[~ok] = _joined(skipped_row(reasons, [a[~ok].tolist() for a in axes]))
+    quote = encode_basestring_ascii if json_numbers else _csv_field
+    text = {reason: quote(reason) for reason in set(reasons)}  # each one once
+    quoted = [text[reason] for reason in reasons]
+    rows[~ok] = _joined(skipped_row(quoted, [a[~ok].tolist() for a in axes]))
     return rows.tolist()
 
 
@@ -445,10 +448,12 @@ def cmd_point(args: argparse.Namespace) -> int:
     elif args.method == "opo":
         if args.c0 is None:
             raise ConfigError("point opo requires --c0")
-        pt = opo_evaluate(OpoParams(args.c0, args.seed_ratio, _regime(args.regime)))
+        pt = opo_evaluate(OpoParams(args.c0, args.seed_ratio, Regime(args.regime)))
         extra = []
     elif args.method == "opa":
-        params = OpaParams(args.seed_ratio, max(args.tau, 1e-12), _regime(args.regime))
+        if not 0.0 <= args.tau < math.inf:
+            raise ConfigError(f"tau must be finite and >= 0, got {args.tau!r}")
+        params = OpaParams(args.seed_ratio, max(args.tau, 1e-12), Regime(args.regime))
         pt = opa_evaluate(params, args.tau)
         extra = []
     else:
@@ -463,9 +468,8 @@ def cmd_point(args: argparse.Namespace) -> int:
 
 
 def _grid_for(method: Method, conf: dict[str, object]) -> SweepGrid:
-    cap = conf.get("seed_cap")
-    constraints = {} if cap is None else {"seed_input_cap": cap}
-    return SweepGrid(method, conf.get("axes", METHODS[method].axes), constraints)
+    axes = conf.get("axes", METHODS[method].axes)
+    return SweepGrid(method, axes, conf.get("seed_cap"))
 
 
 def _echo(command: str, grid: SweepGrid, **fields: object) -> dict[str, object]:
@@ -478,8 +482,8 @@ def _echo(command: str, grid: SweepGrid, **fields: object) -> dict[str, object]:
         ),
         "tool_version": __version__,
     }
-    if grid.constraints:
-        echo["seed_cap"] = grid.constraints["seed_input_cap"]
+    if grid.seed_cap is not None:
+        echo["seed_cap"] = grid.seed_cap
     return echo
 
 
@@ -512,7 +516,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
 
     grids = [_grid_for(method, conf) for method in methods]  # all checked first
     for method, grid in zip(methods, grids):
-        curves = frontier_suite(method, conf["thresholds"], grid, conf["bins"])
+        curves = frontier_suite(grid, conf["thresholds"], conf["bins"])
         if all(len(c.points) == 0 for c in curves):
             print(
                 f"warning: empty feasible set for {method.value} at all thresholds",
@@ -542,7 +546,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
 
 def cmd_opa_trajectory(args: argparse.Namespace) -> int:
     out = parse_out(args.out)
-    params = OpaParams(args.seed_ratio, args.t_max, _regime(args.regime))
+    params = OpaParams(args.seed_ratio, args.t_max, Regime(args.regime))
     if args.n_steps is not None and not args.check_steps:
         raise ConfigError("--n-steps is the step count of --check-steps; give both")
     steps = 0  # no RK4 check
@@ -585,12 +589,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_point.add_argument("--theta", type=float, default=0.0)
     p_point.add_argument("--c0", type=float, default=None)
     p_point.add_argument("--seed-ratio", dest="seed_ratio", type=float, default=0.0)
-    p_point.add_argument("--regime", default="phase", choices=("phase", "amplitude"))
+    p_point.add_argument("--regime", default="phase", choices=[r.value for r in Regime])
     p_point.add_argument("--tau", type=float, default=0.0)
     p_point.add_argument("--cc", type=float, default=None)
     p_point.add_argument("--dd", type=float, default=None)
     p_point.add_argument("--nbar", type=float, default=0.0)
-    p_point.add_argument("--axis", default="amplitude", choices=("amplitude", "phase"))
+    p_point.add_argument(
+        "--axis", default="amplitude", choices=[a.value for a in SqueezedAxis]
+    )
     p_point.set_defaults(fn=cmd_point)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -622,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
         "opa-trajectory", parents=[], help="amplifier time series"
     )
     p_traj.add_argument("--seed-ratio", dest="seed_ratio", type=float, required=True)
-    p_traj.add_argument("--regime", default="phase", choices=("phase", "amplitude"))
+    p_traj.add_argument("--regime", default="phase", choices=[r.value for r in Regime])
     p_traj.add_argument("--t-max", dest="t_max", type=float, default=6.0)
     p_traj.add_argument(
         "--n-steps", dest="n_steps", type=int, default=None,

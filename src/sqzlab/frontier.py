@@ -2,7 +2,7 @@
 
 A sweep evaluates one method over the Cartesian product of named
 parameter axes, in row-major order over the axes as declared, recording
-skipped points (domain errors, cutoffs, constraint violations) with a
+skipped points (domain errors, cutoffs, seeds over the seed cap) with a
 machine-readable reason instead of dropping them. A frontier bins the
 surviving points by alpha_sq on a log grid and keeps, per bin, the best
 squeeze factor among points whose overall uncertainty stays below a
@@ -40,7 +40,7 @@ import enum
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -92,8 +92,13 @@ class Axis:
             raise ConfigError(f"axis {self.name!r} needs lo < hi")
         if not self.hi - self.lo < math.inf:
             raise ConfigError(f"axis {self.name!r} needs a finite span hi - lo")
-        if self.spacing is Spacing.LOG and self.lo <= 0.0:
-            raise ConfigError(f"log axis {self.name!r} needs lo > 0")
+        if self.spacing is Spacing.LOG:
+            if self.lo <= 0.0:
+                raise ConfigError(f"log axis {self.name!r} needs lo > 0")
+            with np.errstate(over="ignore"):  # the last value, as values() computes it
+                top = np.power(10.0, math.log10(self.hi))
+            if not top < math.inf:
+                raise ConfigError(f"log axis {self.name!r} needs 10**log10(hi) finite")
 
     def values(self) -> np.ndarray:
         if self.spacing is Spacing.LOG:
@@ -105,7 +110,7 @@ class Axis:
 class SweepGrid:
     method: Method
     axes: tuple[Axis, ...]
-    constraints: dict[str, float] = field(default_factory=dict)
+    seed_cap: float | None = None  # rows with seed_ratio above it are skipped
 
     def __post_init__(self) -> None:
         spec = METHODS[self.method]
@@ -126,14 +131,12 @@ class SweepGrid:
                 f"method {self.method.value} needs a sweep axis for"
                 f" {', '.join(missing)}"
             )
-        for key, value in self.constraints.items():
-            if key != "seed_input_cap":
-                raise ConfigError(f"unknown constraint {key!r}")
-            if math.isnan(value):
-                raise ConfigError("seed_input_cap must be a number, got nan")
+        if self.seed_cap is not None:
+            if math.isnan(self.seed_cap):
+                raise ConfigError("seed_cap must be a number, got nan")
             if "seed_ratio" not in seen:
                 raise ConfigError(
-                    f"seed_input_cap caps a seed_ratio axis; the {self.method.value}"
+                    f"seed_cap caps a seed_ratio axis; the {self.method.value}"
                     " grid has none"
                 )
         points = math.prod(ax.count for ax in self.axes)
@@ -294,9 +297,8 @@ def _kernel(
         params = METHODS[grid.method].params
         cols = (values.get(name, zeros) for name in params)
         table = SweepTable(values, *evaluate(*cols, *fixed.values()), params, tags)
-        seed = values.get("seed_ratio")
-        cap = grid.constraints.get("seed_input_cap")
-        if seed is not None and cap is not None:  # in place of any evaluator reason
+        cap, seed = grid.seed_cap, values.get("seed_ratio")
+        if cap is not None:  # a capped grid has a seed axis; in place of any reason
             over = np.flatnonzero(~(seed <= cap))
             message = f"seed_ratio {{:g}} exceeds seed input cap {cap:g}"
             table._skip(over, list(map(message.format, seed[over].tolist())))
@@ -473,14 +475,9 @@ def frontier(
 
 
 def frontier_suite(
-    method: Method,
-    thresholds: Sequence[float],
-    grid: SweepGrid,
-    bins: LogBins = LogBins(),
+    grid: SweepGrid, thresholds: Sequence[float], bins: LogBins = LogBins()
 ) -> list[FrontierCurve]:
     """One sweep, ranked once, shared across a list of uncertainty thresholds."""
-    if grid.method is not method:
-        raise ConfigError("grid method does not match the requested method")
     bad = [thr for thr in thresholds if not thr >= 1.0]
     if bad:
         raise ConfigError(f"threshold must be >= 1, got {bad[0]!r}")
@@ -491,7 +488,6 @@ def frontier_suite(
 DEFAULT_THRESHOLDS = (1.001, 1.01, 1.1, 2.0, 10.0)
 
 
-def default_grid(method: Method, seed_input_cap: float | None = None) -> SweepGrid:
+def default_grid(method: Method) -> SweepGrid:
     """Documented default sweep grids behind the stock frontier figures."""
-    constraints = {} if seed_input_cap is None else {"seed_input_cap": seed_input_cap}
-    return SweepGrid(method=method, axes=METHODS[method].axes, constraints=constraints)
+    return SweepGrid(method, METHODS[method].axes)

@@ -25,8 +25,8 @@ vacuum's 1 and 1, so U tends to sqrt((1 + dd^2)/2): cc = 1e-6, dd = 0
 gives U = 0.7071. Unlike the other evaluators they should not be relied
 on as quantum states at moderate brightness.
 
-`om_evaluate` (one point) and `om_columns` (a sweep's columns) share the
-closed forms.
+`om_evaluate` (one point), `om_columns` (a sweep's columns) and the
+inversion `cooperativity_for_alpha_sq` share the closed forms.
 """
 
 from __future__ import annotations
@@ -157,13 +157,10 @@ def cooperativity_for_alpha_sq(dd: float, alpha_sq: float) -> float:
     if not 0.0 < alpha_sq < math.inf:
         raise DomainError(f"alpha_sq must be finite and > 0, got {alpha_sq!r}")
 
-    def f(cc: float) -> float:
-        return (1.0 - cc * dd) ** 3 / (2.0 * cc * cc * (1.0 + dd * dd)) - alpha_sq
-
     lo, hi = 1e-12, 1.0 / dd
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
+        if _outputs(mid, dd, 0.0, SqueezedAxis.AMPLITUDE)[0] > alpha_sq:
             lo = mid
         else:
             hi = mid

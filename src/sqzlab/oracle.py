@@ -162,11 +162,10 @@ def mean_field_ode(
     pump_amp: float,
     t_max: float,
     n_steps: int,
-    g: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Integrate the nonlinear mean-field pair with fixed-step RK4.
 
-    The pair is dA_s/dt = g A_s A_p, dA_p/dt = -(g/2) A_s^2 with real
+    The pair is dA_s/dt = A_s A_p, dA_p/dt = -A_s^2/2 with real
     initial amplitudes (seed_amp, pump_amp).
 
     Returns
@@ -189,13 +188,13 @@ def mean_field_ode(
         a_s[0], a_p[0] = seed_amp, pump_amp
         ys, yp = seed_amp, pump_amp
         for i in range(n):
-            k1s, k1p = g * ys * yp, -0.5 * g * ys * ys
+            k1s, k1p = ys * yp, -0.5 * ys * ys
             s2, p2 = ys + 0.5 * h * k1s, yp + 0.5 * h * k1p
-            k2s, k2p = g * s2 * p2, -0.5 * g * s2 * s2
+            k2s, k2p = s2 * p2, -0.5 * s2 * s2
             s3, p3 = ys + 0.5 * h * k2s, yp + 0.5 * h * k2p
-            k3s, k3p = g * s3 * p3, -0.5 * g * s3 * s3
+            k3s, k3p = s3 * p3, -0.5 * s3 * s3
             s4, p4 = ys + h * k3s, yp + h * k3p
-            k4s, k4p = g * s4 * p4, -0.5 * g * s4 * s4
+            k4s, k4p = s4 * p4, -0.5 * s4 * s4
             ys += (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
             yp += (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
             a_s[i + 1], a_p[i + 1] = ys, yp

@@ -388,7 +388,7 @@ def test_criterion_09_cross_method_ordering():
     target_bin = bins.index(0.1)
     dbs = {}
     for method in (Method.OPO_PHASE, Method.BEAM_SPLITTER, Method.OM_AMPLITUDE):
-        curves = frontier_suite(method, (2.0,), default_grid(method), bins)
+        curves = frontier_suite(default_grid(method), (2.0,), bins)
         match = [
             p for p in curves[0].points if bins.index(p.alpha_sq) == target_bin
         ]

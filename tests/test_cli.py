@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sqzlab.cli import main, parse_axis, parse_bins, parse_thresholds, points_from_json, read_config_file
+from sqzlab.cli import (
+    SCHEMA, main, parse_axis, parse_bins, parse_thresholds, points_from_json, read_config_file,
+)
 from sqzlab.core import Regime
 from sqzlab.frontier import METHODS, ConfigError, LogBins, Method, frontier, ok_points, sweep
 from sqzlab.opa import OpaParams, opa_evaluate
@@ -61,6 +63,13 @@ def test_point_opa(capsys):
     assert code == 0
     assert grab(out, "alpha_sq") == pytest.approx(0.0025, rel=1e-12)
     assert grab(out, "uncertainty") == 1.0
+
+
+@pytest.mark.parametrize("tau", ["-1", "inf", "nan"])
+def test_point_opa_bad_tau_exits_2(capsys, tau):
+    code, out, err = run(capsys, "point", "opa", "--seed-ratio", "0.05", "--tau", tau)
+    assert (code, out) == (2, "")
+    assert err == f"error: tau must be finite and >= 0, got {float(tau)!r}\n"
 
 
 def test_sweep_csv_cardinality(tmp_path, capsys):
@@ -349,7 +358,7 @@ def test_nan_seed_cap_exits_2(tmp_path, route):
         argv += ["--config", str(conf)]
     proc = cli_subprocess(*argv, "--axis", "seed_ratio=0.1:1:3", "--axis", "tau=0:1:3")
     assert proc.returncode == 2
-    assert "seed_input_cap" in proc.stderr
+    assert "seed_cap must be a number, got nan" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -381,7 +390,7 @@ def test_overflow_and_underflow_are_domain_errors(argv, message):
         assert proc.returncode == 0
         skipped = [l for l in proc.stdout.splitlines() if l.startswith("bs,400.0,")]
         assert len(skipped) == 3
-        assert all(",skipped,|b| must be at most 354.891356446692" in l for l in skipped)
+        assert all(',skipped,"|b| must be at most 354.891356446692, ' in l for l in skipped)
     else:
         assert proc.returncode == 2
         assert message in proc.stderr
@@ -397,7 +406,7 @@ def test_sweep_skips_om_rows_whose_uncertainty_overflows_without_warning():
     rows = data_lines(proc.stdout)[1:]
     skipped = [r for r in rows if ",1e+160," in r]
     assert len(rows) == 8 and len(skipped) == 4
-    assert all(r.endswith(",skipped,var_x*var_p must be finite, got inf") for r in skipped)
+    assert all(r.endswith(',skipped,"var_x*var_p must be finite, got inf"') for r in skipped)
     assert all(",ok," in r for r in rows if r not in skipped)
 
 
@@ -423,6 +432,19 @@ def test_echoed_axes_reproduce_default_grid_sweep(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert echoed.read_bytes() == default.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sweep", "frontier"])
+@pytest.mark.parametrize("cap", [(), ("--seed-cap", "0.5")], ids=["no-cap", "cap"])
+def test_echo_keys_are_config_keys(capsys, command, cap):
+    code, out, _ = run(
+        capsys, command, "--method", "opa_phase", "--axis", "seed_ratio=0.1:1:3",
+        "--axis", "tau=0:1:3", *cap, "--out", "-",
+    )
+    assert code == 0
+    echo = dict(l[2:].split(" = ", 1) for l in out.splitlines() if l.startswith("# "))
+    assert set(echo) - {"command", "method", "tool_version"} <= set(SCHEMA)
+    assert echo.get("seed_cap") == (cap[1] if cap else None)
 
 
 def test_console_entry_point():
@@ -481,15 +503,18 @@ def test_infinite_bin_edge_exits_2():
          "axis 'seed_ratio' needs a finite span hi - lo"),
         # a seed cap on a grid with no seed_ratio axis caps nothing
         (("sweep", "--method", "bs", "--seed-cap", "0.5"), None,
-         "seed_input_cap caps a seed_ratio axis; the bs grid has none"),
+         "seed_cap caps a seed_ratio axis; the bs grid has none"),
         (("frontier", "--method", "bs,opo_phase", "--seed-cap", "1", "--out", "run"), None,
-         "seed_input_cap caps a seed_ratio axis; the bs grid has none"),
+         "seed_cap caps a seed_ratio axis; the bs grid has none"),
         (("frontier", "--method", "bs,bs", "--out", "run"), None, "method 'bs' is given twice"),
+        # 10**log10(hi) rounds past the largest double: the last value was inf
+        (("sweep", "--method", "bs", "--axis", "b=1:1.7976931348623157e308:3:log"), None,
+         "log axis 'b' needs 10**log10(hi) finite"),
     ],
     ids=["sweep-format", "frontier-format", "sweep-svg", "seed-cap", "empty-out",
          "nul-out", "sweep-bad-bins", "missing-config", "inf-axis", "overflowing-axis",
          "inf-seed-axis", "unseeded-seed-cap", "multi-method-unseeded-seed-cap",
-         "repeated-method"],
+         "repeated-method", "overflowing-log-axis"],
 )
 def test_schema_rejects_bad_values_before_sweeping(
     tmp_path, capsys, monkeypatch, argv, conf_text, message

@@ -2,7 +2,9 @@
 the per-row writers they replaced, the OPO root against a 50-digit root, and
 the work cap on grids and trajectories."""
 
+import csv
 import importlib
+import io
 import json
 import math
 import resource
@@ -91,38 +93,38 @@ def test_default_grid_columns_equal_scalar_evaluators(method):
 
 
 # Small grids that cross every domain edge, so that each check meets a row
-# it skips. Each entry: method, axes, constraints, the reason prefixes met.
+# it skips. Each entry: method, axes, seed_cap, the reason prefixes met.
 EDGE_GRIDS = [
     (
         Method.BEAM_SPLITTER,
         (Axis("b", -1.0, 3.0, 3), Axis("theta", -0.5, 2.0, 11)),
-        {},
+        None,
         ("theta must lie in [0, pi/2]",),
     ),
     (
         Method.BEAM_SPLITTER,
         # the widest span an axis takes; b = max float overflowed e^(2|b|)
         (Axis("theta", 0.0, 1.0, 2), Axis("b", 0.0, sys.float_info.max, 3)),
-        {},
+        None,
         ("|b| must be at most 354.891356446692",),
     ),
     (
         Method.BEAM_SPLITTER,
         # e^(2|b|) overflows from |b| = 354.891356446692 on; b = 400 raised OverflowError
         (Axis("b", -400.0, 400.0, 9), Axis("theta", 0.0, 1.0, 3)),
-        {},
+        None,
         ("|b| must be at most 354.891356446692",),
     ),
     (
         Method.OPO_PHASE,
         (Axis("c0", -0.5, 1.5, 9), Axis("seed_ratio", -1.0, 3.0, 9)),
-        {},
+        None,
         ("c0 must lie in (0, 1)", "seed_ratio must be >= 0"),
     ),
     (
         Method.OPO_AMPLITUDE,
         (Axis("seed_ratio", 1e-3, 1e200, 9, Spacing.LOG), Axis("c0", 0.2, 0.995, 4)),
-        {},
+        None,
         ("steady-state residual", "var_x must be finite and positive"),
     ),
     (
@@ -132,21 +134,21 @@ EDGE_GRIDS = [
             Axis("dd", -0.5, 1.0, 7),
             Axis("n_bar", -1.0, 1.0, 3),
         ),
-        {},
+        None,
         ("cc must be > 0", "dd must be >= 0", "n_bar must be >= 0", "cc*dd must not exceed 1"),
     ),
     (
         Method.OM_PHASE,
         # cc = 1e-160 leaves cc^2 subnormal, not 0, so alpha_sq overflows
         (Axis("dd", 0.0, 0.5, 3), Axis("cc", 1e-160, 1e308, 5, Spacing.LOG)),
-        {},
+        None,
         ("var_x must be finite and positive", "alpha_sq must be finite and >= 0",
          "cc*dd must not exceed 1"),
     ),
     (
         Method.OPA_PHASE,
         (Axis("tau", 0.0, 1e3, 5), Axis("seed_ratio", -1.0, 3.0, 5)),
-        {"seed_input_cap": 2.0},
+        2.0,
         ("seed_ratio 3 exceeds seed input cap 2", "seed_ratio must be >= 0",
          "noise covariance overflows double precision"),
     ),
@@ -156,7 +158,7 @@ EDGE_GRIDS = [
 OM_CC_UNDERFLOW = (
     Method.OM_AMPLITUDE,
     (Axis("cc", 1e-200, 1e-160, 2, Spacing.LOG), Axis("dd", 0.0, 0.5, 2)),
-    {},
+    None,
     ("alpha_sq must be finite and >= 0, got inf",),
 )
 
@@ -164,7 +166,7 @@ OM_CC_UNDERFLOW = (
 OPO_SEED_CAP = (
     Method.OPO_PHASE,
     (Axis("c0", 0.5, 0.6, 2), Axis("seed_ratio", -1.0, 10.0, 12)),
-    {"seed_input_cap": 1.0},
+    1.0,
     ("seed_ratio must be >= 0", "seed_ratio 2 exceeds seed input cap 1"),
 )
 
@@ -172,7 +174,7 @@ OPO_SEED_CAP = (
 OM_PRODUCT_OVERFLOW = (
     Method.OM_AMPLITUDE,
     (Axis("cc", 0.5, 1.0, 2), Axis("dd", 0.5, 1.0, 2), Axis("n_bar", 1e150, 1e160, 2)),
-    {},
+    None,
     ("var_x*var_p must be finite, got inf",),
 )
 
@@ -187,7 +189,7 @@ def _rows(table, keep):
 
 
 @pytest.mark.parametrize(
-    "method, axes, constraints, prefixes",
+    "method, axes, seed_cap, prefixes",
     [
         *EDGE_GRIDS,
         pytest.param(*OM_CC_UNDERFLOW, id="om_amplitude-cc-underflow"),
@@ -196,16 +198,16 @@ def _rows(table, keep):
     ],
     ids=lambda v: getattr(v, "value", ""),
 )
-def test_edge_grid_masks_match_scalar_messages(method, axes, constraints, prefixes):
-    grid = SweepGrid(method, axes, constraints)
+def test_edge_grid_masks_match_scalar_messages(method, axes, seed_cap, prefixes):
+    grid = SweepGrid(method, axes, seed_cap)
     table = frontier_module.sweep(grid)
     reasons = set()
-    if constraints:  # the cap is a sweep constraint, not a scalar check
-        cap = constraints["seed_input_cap"]
+    if seed_cap is not None:  # the cap is a sweep setting, not a scalar check
         seed = table.values["seed_ratio"]
-        capped = seed > cap
+        capped = seed > seed_cap
         assert table.reason[capped].tolist() == [
-            f"seed_ratio {s:g} exceeds seed input cap {cap:g}" for s in seed[capped].tolist()
+            f"seed_ratio {s:g} exceeds seed input cap {seed_cap:g}"
+            for s in seed[capped].tolist()
         ]
         assert not table.ok[capped].any()
         reasons |= set(table.reason[capped])
@@ -225,7 +227,17 @@ def _numbers(table):
 
 
 def csv_per_row(method, records, config):
-    """The CSV writer the columnar one replaced: _fnum for every value."""
+    """The CSV writer the columnar one replaced: _fnum for every value, and each
+    row's fields as the csv module writes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)  # the default \r\n terminator: \r is quoted, as \n is
+
+    def line(fields):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(fields)
+        return buf.getvalue()[:-2]
+
     names = list(records.values)
     lines = [f"# {k} = {config[k]}" for k in sorted(config)]
     lines.append(",".join(["method", *names, "alpha_sq", "var_x", "var_p", "squeeze_db",
@@ -238,7 +250,7 @@ def csv_per_row(method, records, config):
         ["ok" if k else "skipped" for k in ok],
         records.reason.tolist(),
     ]
-    lines.extend(map(",".join, zip(*columns)))
+    lines.extend(map(line, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -269,8 +281,15 @@ def json_per_row(method, records, config):
 
 def assert_writers_match_per_row(method, table, config):
     with np.errstate(over="ignore"):  # U = inf in a hand-made row
-        assert cli.sweep_csv(method, table, config) == csv_per_row(method, table, config)
+        text = cli.sweep_csv(method, table, config)
+        assert text == csv_per_row(method, table, config)
         assert cli.sweep_json(method, table, config) == json_per_row(method, table, config)
+    # past the metadata lines, csv.reader reads every row to the header's width
+    body = text.split("\n", len(config))[-1]
+    header, *rows = csv.reader(io.StringIO(body, newline=""))
+    assert len(rows) == len(table)
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[-1] for row in rows] == table.reason.tolist()
 
 
 @pytest.mark.parametrize("method", [m for m in Method], ids=lambda m: m.value)
@@ -281,23 +300,23 @@ def test_writers_match_per_row_writers_on_default_grids(method):
 
 
 WRITER_GRIDS = [
-    *((method, axes, constraints) for method, axes, constraints, _ in EDGE_GRIDS),
+    *((method, axes, seed_cap) for method, axes, seed_cap, _ in EDGE_GRIDS),
     pytest.param(*OM_CC_UNDERFLOW[:3], id="om_amplitude-cc-underflow"),
     pytest.param(*OM_PRODUCT_OVERFLOW[:3], id="om_amplitude-product-overflow"),
     pytest.param(*OPO_SEED_CAP[:3], id="opo_phase-seed-cap"),
     # -0.0 in both axes, in ok and skipped rows; linspace ends exactly at hi
-    (Method.BEAM_SPLITTER, (Axis("b", -1.0, -0.0, 3), Axis("theta", -1.0, -0.0, 3)), {}),
-    (Method.BEAM_SPLITTER, (), {}),  # one row, no axes: empty "values"
+    (Method.BEAM_SPLITTER, (Axis("b", -1.0, -0.0, 3), Axis("theta", -1.0, -0.0, 3)), None),
+    (Method.BEAM_SPLITTER, (), None),  # one row, no axes: empty "values"
     # cutoff rows after negative-seed rows
-    (Method.OPO_AMPLITUDE, (Axis("c0", 0.5, 0.95, 4), Axis("seed_ratio", -0.5, 10.0, 30)), {}),
+    (Method.OPO_AMPLITUDE, (Axis("c0", 0.5, 0.95, 4), Axis("seed_ratio", -0.5, 10.0, 30)), None),
 ]
 
 
 @pytest.mark.parametrize(
-    "method, axes, constraints", WRITER_GRIDS, ids=lambda v: getattr(v, "value", "")
+    "method, axes, seed_cap", WRITER_GRIDS, ids=lambda v: getattr(v, "value", "")
 )
-def test_writers_match_per_row_writers_on_edge_grids(method, axes, constraints):
-    grid = SweepGrid(method, axes, constraints)
+def test_writers_match_per_row_writers_on_edge_grids(method, axes, seed_cap):
+    grid = SweepGrid(method, axes, seed_cap)
     table = frontier_module.sweep(grid)
     assert_writers_match_per_row(method, table, cli._echo("sweep", grid, format="csv"))
 
@@ -321,11 +340,11 @@ def test_writers_spell_nonfinite_values_signed_zeros_and_strings_as_before():
     assert_writers_match_per_row(Method.BEAM_SPLITTER, table, config)
     with np.errstate(over="ignore"):
         text = cli.sweep_json(Method.BEAM_SPLITTER, table, config)
-        csv = cli.sweep_csv(Method.BEAM_SPLITTER, table, config)
+        csv_text = cli.sweep_csv(Method.BEAM_SPLITTER, table, config)
     assert '"b": NaN' in text and '"b": -Infinity' in text and '"uncertainty": Infinity' in text
     assert '"b": -0.0' in text and '"b": 0.0' in text
-    assert "\nbs,nan,0.5,,,,,,skipped,b must be finite, got nan\n" in csv
-    assert "\nbs,-0.0,0.5,1e-300,1e+200,1e+200,-2000.0,inf,ok,\n" in csv
+    assert '\nbs,nan,0.5,,,,,,skipped,"b must be finite, got nan"\n' in csv_text
+    assert "\nbs,-0.0,0.5,1e-300,1e+200,1e+200,-2000.0,inf,ok,\n" in csv_text
     empty = SweepTable(
         {"b": np.array([])}, *(np.array([]) for _ in range(3)), np.array([], dtype=bool),
         np.array([], dtype=object), ("b",), {},

@@ -118,7 +118,7 @@ def test_opa_seed_cap_constraint():
     grid = SweepGrid(
         method=Method.OPA_AMPLITUDE,
         axes=(Axis("seed_ratio", 0.1, 10.0, 5, Spacing.LOG), Axis("tau", 0.0, 1.0, 4)),
-        constraints={"seed_input_cap": 1.0},
+        seed_cap=1.0,
     )
     records = sweep(grid)
     capped = [r for r in records if r.values["seed_ratio"] > 1.0]
@@ -190,13 +190,13 @@ def test_negative_tau_axis_rejected_by_the_grid():
 )
 def test_seed_cap_without_seed_axis_rejected(method, axes):
     with pytest.raises(ConfigError, match=f"the {method.value} grid has none"):
-        SweepGrid(method, axes, {"seed_input_cap": 1.0})
+        SweepGrid(method, axes, seed_cap=1.0)
 
 
 def test_nan_seed_cap_rejected():
     axes = default_grid(Method.OPA_PHASE).axes
-    with pytest.raises(ConfigError, match="seed_input_cap"):
-        SweepGrid(Method.OPA_PHASE, axes, {"seed_input_cap": math.nan})
+    with pytest.raises(ConfigError, match="seed_cap must be a number, got nan"):
+        SweepGrid(Method.OPA_PHASE, axes, seed_cap=math.nan)
 
 
 def test_methods_table_drives_grids_and_validation():
@@ -317,7 +317,7 @@ def test_frontier_deterministic_tiebreak():
 
 def test_frontier_suite_shares_one_sweep():
     grid = bs_grid(8, 16)
-    curves = frontier_suite(Method.BEAM_SPLITTER, (1.01, 1.1, 2.0), grid)
+    curves = frontier_suite(grid, (1.01, 1.1, 2.0))
     assert [c.threshold for c in curves] == [1.01, 1.1, 2.0]
     maps = [{p.alpha_sq: p.squeeze_db for p in c.points} for c in curves]
     shared = set(maps[0]) & set(maps[1]) & set(maps[2])
@@ -325,19 +325,11 @@ def test_frontier_suite_shares_one_sweep():
         assert maps[0][a2] <= maps[1][a2] + 1e-12 <= maps[2][a2] + 2e-12
 
 
-def test_frontier_suite_method_mismatch():
-    with pytest.raises(ConfigError):
-        frontier_suite(Method.OPO_PHASE, (2.0,), bs_grid())
-
-
 def test_om_low_brightness_penalty_under_tight_threshold():
     # at the tightest uncertainty ceiling the dissipative squeezer does
     # worse at low finite alpha_sq than at high alpha_sq
     curves = frontier_suite(
-        Method.OM_AMPLITUDE,
-        (1.001,),
-        default_grid(Method.OM_AMPLITUDE),
-        LogBins(1e-6, 1.0, 60),
+        default_grid(Method.OM_AMPLITUDE), (1.001,), LogBins(1e-6, 1.0, 60)
     )
     pts = curves[0].points
     assert len(pts) > 10
@@ -352,7 +344,7 @@ def test_opo_phase_nested_threshold_curves():
         method=Method.OPO_PHASE,
         axes=(Axis("c0", 0.1, 0.95, 18), Axis("seed_ratio", 1e-5, 0.5, 60, Spacing.LOG)),
     )
-    curves = frontier_suite(Method.OPO_PHASE, (1.01, 1.1, 2.0), grid, LogBins(1e-5, 1.0, 40))
+    curves = frontier_suite(grid, (1.01, 1.1, 2.0), LogBins(1e-5, 1.0, 40))
     maps = [{p.alpha_sq: p.squeeze_db for p in c.points} for c in curves]
     shared = set(maps[0]) & set(maps[1]) & set(maps[2])
     assert len(shared) > 5
@@ -372,10 +364,7 @@ def test_opa_amplitude_seed_cap_truncates_bright_output():
     bins = LogBins(1e-4, 1.0, 40)
     best = {}
     for cap in (None, 1.0):
-        constraints = {} if cap is None else {"seed_input_cap": cap}
-        grid = SweepGrid(
-            method=Method.OPA_AMPLITUDE, axes=axes, constraints=constraints
-        )
+        grid = SweepGrid(method=Method.OPA_AMPLITUDE, axes=axes, seed_cap=cap)
         curve = frontier(ok_points(sweep(grid)), 2.0, bins)
         best[cap] = max(
             (p.squeeze_db for p in curve.points if p.alpha_sq > 0.2), default=-1.0
@@ -385,8 +374,8 @@ def test_opa_amplitude_seed_cap_truncates_bright_output():
 
 def test_determinism_repeated_runs():
     grid = bs_grid(9, 9)
-    a = frontier_suite(Method.BEAM_SPLITTER, (1.5,), grid)
-    b = frontier_suite(Method.BEAM_SPLITTER, (1.5,), grid)
+    a = frontier_suite(grid, (1.5,))
+    b = frontier_suite(grid, (1.5,))
     assert a == b
 
 
@@ -452,7 +441,7 @@ def test_columnar_frontier_matches_scalar_reference(method, thresholds):
     grid = SweepGrid(method=method, axes=axes)
     pts = ok_points(sweep(grid))
     for bins in (LogBins(), LogBins(1e-4, 0.5, 23)):
-        curves = frontier_suite(method, thresholds, grid, bins)
+        curves = frontier_suite(grid, thresholds, bins)
         expected = [_reference_frontier(pts, thr, bins) for thr in thresholds]
         assert curves == expected
         assert any(c.points for c in curves)
@@ -575,9 +564,9 @@ def test_frontier_suite_rejects_bad_threshold_before_sweeping(monkeypatch):
     monkeypatch.setattr(frontier_module, "sweep", no_sweep)
     grid = default_grid(Method.OPO_PHASE)
     with pytest.raises(ConfigError, match="threshold must be >= 1"):
-        frontier_suite(Method.OPO_PHASE, (2.0, 0.5), grid)
+        frontier_suite(grid, (2.0, 0.5))
     with pytest.raises(ConfigError, match="threshold must be >= 1"):
-        frontier_suite(Method.OPO_PHASE, (math.nan,), grid)
+        frontier_suite(grid, (math.nan,))
 
 
 def test_bins_reject_infinite_edges():
