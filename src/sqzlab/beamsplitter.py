@@ -72,9 +72,9 @@ def bs_columns(b: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, ...]:
     """bs_evaluate over columns: (alpha_sq, var_x, var_p, ok, reason)."""
     skips = Skips(len(b))
     with np.errstate(invalid="ignore"):
-        skips.check(abs(b) < math.inf, _B_FINITE.format, b)
-        skips.check(abs(b) <= B_MAX, _B_RANGE.format, b)
-        skips.check((theta >= 0.0) & (theta <= HALF_PI), _THETA_RANGE.format, theta)
+        skips.check(abs(b) < math.inf, _B_FINITE, b)
+        skips.check(abs(b) <= B_MAX, _B_RANGE, b)
+        skips.check((theta >= 0.0) & (theta <= HALF_PI), _THETA_RANGE, theta)
     b, theta = (np.where(skips.ok, c, 0.0) for c in (b, theta))  # math.cos(inf) raises
     b, b_row = distinct(b)
     theta, theta_row = distinct(theta)

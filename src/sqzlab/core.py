@@ -12,8 +12,9 @@ Conventions used throughout the package:
 
 All functions here are pure and safe to call concurrently. Column
 evaluators (the array forms of the evaluators, which sweeps use) record a
-skipped row in a Skips object with the message the scalar evaluator
-raises; MAX_GRID_POINTS bounds the rows of one sweep or time grid.
+skipped row in a Skips object, which formats the message the scalar
+evaluator raises when the reason is read; MAX_GRID_POINTS bounds the rows
+of one sweep or time grid.
 
 The value types are frozen dataclasses whose __init__ is written out: it
 runs every check on the arguments, raising DomainError before any field
@@ -26,10 +27,9 @@ dataclasses.replace and pickling are those of the dataclass.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -158,44 +158,77 @@ def distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Skips:
-    """Skip reasons of a column evaluation, one per row, "" while it is ok.
+    """Which rows of a column evaluation are skipped, and why. It reads as
+    the skip reason per row, "" where ok: indexing gives the reason of a
+    row (a str) or of many (an object array), as tolist() gives all.
 
-    Each check skips the rows still ok where it fails, with the message the
-    scalar evaluator raises; checks run in the scalar order, so a row keeps
-    the reason of the first check it fails.
+    Each check skips the rows still ok where it fails, with the template of
+    the message the scalar evaluator raises. It keeps those rows, the
+    template and the values the message needs, and formats the messages
+    when a reason is next read, each once; a run that reads none formats
+    none.
+    Checks run in the scalar order, so a row keeps the reason of the first
+    check it fails; skip() gives rows a reason in place of any they had.
     """
 
     def __init__(self, n: int) -> None:
         self.ok = np.ones(n, dtype=bool)
-        self.reason = np.full(n, "", dtype=object)
+        self._pending: list[tuple[np.ndarray, str, list[np.ndarray]]] = []
+        self._text: np.ndarray | None = None  # the reasons, once read
 
-    def check(
-        self, valid: np.ndarray, message: Callable[..., str], *columns: np.ndarray
-    ) -> None:
-        """Skip the ok rows where valid is False; message gets their values."""
-        bad = np.flatnonzero(self.ok & ~valid)
-        if bad.size:
-            rows = zip(*(c[bad].tolist() for c in columns))
-            self.reason[bad] = [message(*row) for row in rows]
-            self.ok[bad] = False
+    def check(self, valid: np.ndarray, template: str, *columns: np.ndarray) -> None:
+        """Skip the ok rows where valid is False; the template is formatted
+        with their values in columns."""
+        self.skip(np.flatnonzero(self.ok & ~valid), template, *columns)
 
-    def outputs(self, alpha_sq, var_x, var_p) -> tuple[np.ndarray, ...]:
+    def skip(self, rows: np.ndarray, template: str, *columns: np.ndarray) -> None:
+        """Skip rows whatever they held; the template is formatted with their
+        values in columns."""
+        if rows.size:
+            self.ok[rows] = False
+            self._pending.append((rows, template, [c[rows] for c in columns]))
+
+    def _reasons(self) -> np.ndarray:
+        """The reason column, after formatting the skips made since the last read."""
+        if self._text is None:
+            self._text = np.full(len(self.ok), "", dtype=object)
+        text = self._text
+        for rows, template, values in self._pending:  # later ones win
+            if values:
+                text[rows] = list(map(template.format, *(v.tolist() for v in values)))
+            else:
+                text[rows] = template.format()
+        self._pending.clear()
+        return text
+
+    def __len__(self) -> int:
+        return len(self.ok)
+
+    def __getitem__(self, rows):
+        return self._reasons()[rows]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._reasons())
+
+    def tolist(self) -> list[str]:
+        return self._reasons().tolist()
+
+    def outputs(self, alpha_sq, var_x, var_p) -> tuple:
         """The QuadratureStats and MethodPoint checks, then the table columns
-        (alpha_sq, var_x, var_p, ok, reason), NaN where a row is skipped."""
+        (alpha_sq, var_x, var_p, ok, reason), NaN where a row is skipped;
+        the reason column is this object."""
         with np.errstate(invalid="ignore", over="ignore"):
             for name, v in (("var_x", var_x), ("var_p", var_p)):
-                self.check(
-                    (abs(v) < math.inf) & (v > 0.0),
-                    functools.partial(_FINITE_POSITIVE.format, name), v,
-                )
+                template = _FINITE_POSITIVE.replace("{}", name, 1)
+                self.check((abs(v) < math.inf) & (v > 0.0), template, v)
             product = var_x * var_p
-            self.check(product != math.inf, _PRODUCT.format, product)
+            self.check(product != math.inf, _PRODUCT, product)
             del product  # a grid-sized column: free it before the outputs are built
             finite = abs(alpha_sq) < math.inf
-            self.check(finite & (alpha_sq >= 0.0), _ALPHA_SQ.format, alpha_sq)
+            self.check(finite & (alpha_sq >= 0.0), _ALPHA_SQ, alpha_sq)
         return (
             *(np.where(self.ok, c, math.nan) for c in (alpha_sq, var_x, var_p)),
-            self.ok, self.reason,
+            self.ok, self,
         )
 
 

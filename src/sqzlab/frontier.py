@@ -16,17 +16,21 @@ A sweep's result is one SweepTable of columns: the axis values per row,
 alpha_sq, var_x, var_p, an ok mask and a skip reason per row. Every
 method's runner evaluates the whole grid with one call of the method's
 column form, which shares its formulas and skip messages with the scalar
-evaluator. A seed input cap skips the rows of a seed_ratio column above
-it, whatever the evaluator made of them. A table reads as a sequence of
-SweepRecord views, built on access.
+evaluator. The reasons are formatted when first read (core.Skips), so a
+frontier run formats none. A seed input cap skips the rows of a seed_ratio
+column above it, whatever the evaluator made of them. A table reads as a
+sequence of SweepRecord views, built on access.
 
-A frontier suite ranks a sweep's ok rows once, with one stable np.lexsort
-by bin, then best first, and ranks only the rows with U within the largest
-threshold, since no curve can keep any other. Each threshold keeps the
+A frontier suite ranks a sweep's ok rows once, and ranks only the rows
+with U within the largest threshold, since no curve can keep any other:
+one stable np.lexsort by bin, then best first, after which each run of
+rows tied on both is sorted by U, then alpha_sq. Each threshold keeps the
 rows with U within it and each bin's first row, and gathers the params
-records of those from the axis columns at once. Logarithms are math.log10
-per value: np.log10 can differ in the last ulp and move a point across a
-bin edge.
+records of those from the axis columns at once. Squeeze factors are
+math.log10 per value, as the scalar path prints them. Bins come from
+np.log10, which can differ from math.log10 in the last ulps, and are
+computed again with math.log10 for the values near enough a bin edge for
+that to move them (LogBins.indices), so they are math.log10's bins.
 
 Per-method facts live in one table, METHODS: the parameter names a method
 accepts (also its frontier CSV parameter columns), the axes a grid must
@@ -39,6 +43,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -52,6 +57,7 @@ from .core import (
     MethodPoint,
     QuadratureStats,
     Regime,
+    Skips,
     SqueezedAxis,
     mapped,
     squeeze_columns,
@@ -175,18 +181,18 @@ class SweepTable(Sequence):
     var_x: np.ndarray
     var_p: np.ndarray
     ok: np.ndarray
-    reason: np.ndarray  # skip reason per row, "" where ok
+    reason: Skips | np.ndarray  # skip reason per row, "" where ok
     params: tuple[str, ...]  # point params; one without an axis is 0.0
     tags: dict[str, str]  # point params of fixed value, e.g. the regime
 
     def __len__(self) -> int:
         return len(self.ok)
 
-    def _skip(self, rows: np.ndarray, reason: str | list[str]) -> None:
-        """Mark rows skipped with a reason (one, or one per row), in place of
-        what they held."""
+    def _skip(self, rows: np.ndarray, template: str, *columns: np.ndarray) -> None:
+        """Mark rows skipped, in place of what they held; the template,
+        formatted with their values in columns, is their reason."""
         self.ok[rows] = False
-        self.reason[rows] = reason
+        self.reason.skip(rows, template, *columns)
         for col in (self.alpha_sq, self.var_x, self.var_p):
             col[rows] = math.nan
 
@@ -242,6 +248,12 @@ class FrontierCurve:
     points: tuple[FrontierPoint, ...]
 
 
+# np.log10 and math.log10 each lie within a few ulp of the true log: numpy's
+# accuracy tests hold its float64 log10 to 1 ulp and glibc documents 2, so
+# the two differ by at most 3 ulp. LogBins.indices allows this many.
+_LOG10_ULPS = 8
+
+
 @dataclass(frozen=True)
 class LogBins:
     """Log-spaced alpha_sq bins over [lo, hi]."""
@@ -264,12 +276,36 @@ class LogBins:
         return np.sqrt(e[:-1] * e[1:])
 
     def indices(self, alpha_sq: np.ndarray) -> np.ndarray:
-        """Bin index per value, -1 where it falls outside [lo, hi]."""
+        """Bin index per value, -1 where it falls outside [lo, hi].
+
+        The index is the integer part of the position
+        (log10 x - log10 lo) / span * count, with math.log10 as the log.
+        np.log10 gives every position; those within margin of an integer
+        are computed again with math.log10. The two logs differ by at most
+        _LOG10_ULPS * eps * big, big >= |log10 x|, which moves the position
+        by count / span times that; its three roundings move each position
+        by at most 1.5 * eps * count. margin is the sum of the two, so a
+        position farther than it from every integer has the integer part
+        math.log10 would give.
+        """
         inside = (alpha_sq >= self.lo) & (alpha_sq <= self.hi)
-        logs = mapped(math.log10, alpha_sq[inside])
-        t = (logs - math.log10(self.lo)) / (math.log10(self.hi) - math.log10(self.lo))
+        x = alpha_sq[inside]
+        lo, hi = math.log10(self.lo), math.log10(self.hi)
+        span, big = hi - lo, max(abs(lo), abs(hi))
+        eps = sys.float_info.epsilon  # ulp(y) <= eps * |y|
+
+        def position(logs: np.ndarray) -> np.ndarray:
+            return (logs - lo) / span * self.count
+
+        margin = self.count * eps * (_LOG10_ULPS * big / span + 3.0)
+        if margin < 0.5:
+            pos = position(np.log10(x))
+            near = np.flatnonzero(abs(pos - np.rint(pos)) <= margin)
+            pos[near] = position(mapped(math.log10, x[near]))
+        else:  # every position lies within margin of an integer
+            pos = position(mapped(math.log10, x))
         out = np.full(alpha_sq.shape, -1, dtype=np.intp)
-        out[inside] = np.minimum((t * self.count).astype(np.intp), self.count - 1)
+        out[inside] = np.minimum(pos.astype(np.intp), self.count - 1)
         return out
 
     def index(self, alpha_sq: float) -> int | None:
@@ -300,8 +336,7 @@ def _kernel(
         cap, seed = grid.seed_cap, values.get("seed_ratio")
         if cap is not None:  # a capped grid has a seed axis; in place of any reason
             over = np.flatnonzero(~(seed <= cap))
-            message = f"seed_ratio {{:g}} exceeds seed input cap {cap:g}"
-            table._skip(over, list(map(message.format, seed[over].tolist())))
+            table._skip(over, f"seed_ratio {{:g}} exceeds seed input cap {cap:g}", seed)
         return table
 
     return run
@@ -443,9 +478,16 @@ class _Ranked:
         b = self.bins.indices(self.alpha_sq)
         rows = np.flatnonzero(b >= 0)
         db, u = squeeze_columns(self.var_x[rows], self.var_p[rows])
-        # stable: ties keep their order
-        rank = np.lexsort((self.alpha_sq[rows], u, -db, b[rows]))
-        return rows[rank], db[rank], u[rank], b[rows[rank]]
+        b = b[rows]
+        rank = np.lexsort((-db, b))  # stable: ties keep their order
+        # each run of rows tied on (bin, db), by U, then alpha_sq, then order
+        tied = (np.diff(b[rank]) == 0) & (np.diff(db[rank]) == 0)
+        if tied.any():
+            run = np.cumsum(np.r_[True, ~tied])  # the run each ranked row is in
+            at = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
+            r = rank[at]
+            rank[at] = r[np.lexsort((self.alpha_sq[rows[r]], u[r], run[at]))]
+        return rows[rank], db[rank], u[rank], b[rank]
 
 
 def frontier(

@@ -63,7 +63,7 @@ from .core import (
     MAX_GRID_POINTS, DomainError, MethodPoint, QuadratureStats, Regime, Skips, mapped,
 )
 
-_SEED = "seed_ratio must be >= 0, got {!r}"
+_SEED = "seed_ratio must be finite and >= 0, got {!r}"
 OVERFLOW = "noise covariance overflows double precision at tau={!r} (seed_ratio={!r})"
 
 
@@ -210,12 +210,13 @@ def opa_columns(
     """The seed's output at each row of two columns, as opa_evaluate gives it:
     (alpha_sq, var_x, var_p, ok, reason)."""
     skips = Skips(len(seed_ratio))
-    skips.check(~(seed_ratio < 0.0), _SEED.format, seed_ratio)
+    finite = abs(seed_ratio) < math.inf
+    skips.check(finite & (seed_ratio >= 0.0), _SEED, seed_ratio)
     a_s, _, cov_x, cov_p = _evolve(seed_ratio, _pump_sign(regime), tau)
     alpha_sq = mapped(lambda a: a**2, a_s)  # libm pow; |e_p| = 1
     var_x, var_p = cov_x[:, 0, 0], cov_p[:, 0, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        skips.check(abs(var_x * var_p) < math.inf, OVERFLOW.format, tau, seed_ratio)
+        skips.check(abs(var_x * var_p) < math.inf, OVERFLOW, tau, seed_ratio)
     return skips.outputs(alpha_sq, var_x, var_p)
 
 
@@ -280,10 +281,10 @@ def opa_evaluate(params: OpaParams, t: float) -> MethodPoint:
     if not 0.0 <= t <= params.t_max:
         raise DomainError(f"t must lie in [0, t_max], got {t!r}")
     seed, tau = np.array([params.seed_ratio], float), np.array([t], float)
-    columns = opa_columns(seed, tau, params.regime)
-    alpha_sq, var_x, var_p, ok, reason = (c.item() for c in columns)
-    if not ok:
-        raise DomainError(reason)
+    *numbers, ok, reason = opa_columns(seed, tau, params.regime)
+    if not ok[0]:
+        raise DomainError(reason[0])
+    alpha_sq, var_x, var_p = (c.item() for c in numbers)
     return MethodPoint(
         alpha_sq=alpha_sq,
         stats=QuadratureStats(var_x=var_x, var_p=var_p),

@@ -48,7 +48,7 @@ from .core import DomainError, MethodPoint, QuadratureStats, Regime, Skips, mapp
 
 _RESIDUAL_TOL = 1e-9
 _C0_RANGE = "c0 must lie in (0, 1), got {!r}"
-_SEED_RANGE = "seed_ratio must be >= 0, got {!r}"
+_SEED_RANGE = "seed_ratio must be finite and >= 0, got {!r}"
 _BRANCH = "steady-state branch is complex for seed {!r}, pump {!r}"
 _RESIDUAL = (
     "steady-state residual {:.3e} exceeds " + f"{_RESIDUAL_TOL:g}"
@@ -182,19 +182,19 @@ def opo_columns(
     """opo_evaluate over columns: (alpha_sq, var_x, var_p, ok, reason)."""
     skips = Skips(len(c0))
     with np.errstate(all="ignore"):  # skipped rows compute garbage
-        skips.check((c0 > 0.0) & (c0 < 1.0), _C0_RANGE.format, c0)
-        skips.check((abs(seed_ratio) < math.inf) & (seed_ratio >= 0.0),
-                    _SEED_RANGE.format, seed_ratio)
+        skips.check((c0 > 0.0) & (c0 < 1.0), _C0_RANGE, c0)
+        finite = abs(seed_ratio) < math.inf
+        skips.check(finite & (seed_ratio >= 0.0), _SEED_RANGE, seed_ratio)
         e_s, e_p = _drives(c0, seed_ratio, regime)
         p, q, d = _cubic(e_s, e_p)
         unseeded = q == 0.0
-        skips.check(unseeded | ~(d < 0.0), _BRANCH.format, e_s, e_p)
+        skips.check(unseeded | ~(d < 0.0), _BRANCH, e_s, e_p)
         a_s, _ = _root(p, q, d, np.sqrt, lambda x: mapped(math.cbrt, x))
         a_s = np.where(unseeded, 0.0, a_s)
         a_p, r_s, r_p = _pump(a_s, e_s, e_p)
         residual = np.where(r_p > r_s, r_p, r_s)  # max() as the scalar takes it
         skips.check(
-            ~(residual > _RESIDUAL_TOL), _RESIDUAL.format, residual, c0, seed_ratio
+            ~(residual > _RESIDUAL_TOL), _RESIDUAL, residual, c0, seed_ratio
         )
         return skips.outputs(*_outputs(a_s, a_p, e_s, e_p))
 

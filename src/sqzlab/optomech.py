@@ -111,10 +111,10 @@ def om_columns(
     """om_evaluate over columns: (alpha_sq, var_x, var_p, ok, reason)."""
     skips = Skips(len(cc))
     with np.errstate(all="ignore"):
-        skips.check((abs(cc) < math.inf) & (cc > 0.0), _CC.format, cc)
-        skips.check((abs(dd) < math.inf) & (dd >= 0.0), _DD.format, dd)
-        skips.check((abs(n_bar) < math.inf) & (n_bar >= 0.0), _N_BAR.format, n_bar)
-        skips.check(~(cc * dd > 1.0), _CC_DD.format, cc * dd)
+        skips.check((abs(cc) < math.inf) & (cc > 0.0), _CC, cc)
+        skips.check((abs(dd) < math.inf) & (dd >= 0.0), _DD, dd)
+        skips.check((abs(n_bar) < math.inf) & (n_bar >= 0.0), _N_BAR, n_bar)
+        skips.check(~(cc * dd > 1.0), _CC_DD, cc * dd)
         return skips.outputs(*_outputs(cc, dd, n_bar, axis))
 
 

@@ -72,6 +72,19 @@ def test_point_opa_bad_tau_exits_2(capsys, tau):
     assert err == f"error: tau must be finite and >= 0, got {float(tau)!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("opo", "--c0", "0.5"), ("opa", "--tau", "1")],
+    ids=["opo", "opa"],
+)
+@pytest.mark.parametrize("seed", ["inf", "nan", "-1"])
+def test_point_bad_seed_exits_2(capsys, argv, seed):
+    # an infinite seed was refused as "seed_ratio must be >= 0"
+    code, out, err = run(capsys, "point", *argv, "--seed-ratio", seed)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed_ratio must be finite and >= 0, got {float(seed)!r}\n"
+
+
 def test_sweep_csv_cardinality(tmp_path, capsys):
     out = tmp_path / "bs.csv"
     code, _, _ = run(

@@ -15,10 +15,11 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from sqzlab import cli
+from sqzlab import beamsplitter, cli, core, opa, opo, optomech
 from sqzlab.beamsplitter import BsParams, bs_columns, bs_evaluate
 from sqzlab.core import MAX_GRID_POINTS, DomainError, Regime, SqueezedAxis, squeeze_columns
 from sqzlab.frontier import (
+    DEFAULT_THRESHOLDS,
     Axis,
     ConfigError,
     Method,
@@ -27,8 +28,8 @@ from sqzlab.frontier import (
     SweepTable,
     default_grid,
 )
-from sqzlab.opa import OpaParams, opa_evaluate
-from sqzlab.opo import OpoParams, amplitude_cutoff_index, opo_evaluate
+from sqzlab.opa import OpaParams, opa_columns, opa_evaluate
+from sqzlab.opo import OpoParams, amplitude_cutoff_index, opo_columns, opo_evaluate
 from sqzlab.optomech import OmParams, om_evaluate
 
 # the package exports the function `frontier` under the module's name
@@ -119,7 +120,7 @@ EDGE_GRIDS = [
         Method.OPO_PHASE,
         (Axis("c0", -0.5, 1.5, 9), Axis("seed_ratio", -1.0, 3.0, 9)),
         None,
-        ("c0 must lie in (0, 1)", "seed_ratio must be >= 0"),
+        ("c0 must lie in (0, 1)", "seed_ratio must be finite and >= 0"),
     ),
     (
         Method.OPO_AMPLITUDE,
@@ -149,7 +150,7 @@ EDGE_GRIDS = [
         Method.OPA_PHASE,
         (Axis("tau", 0.0, 1e3, 5), Axis("seed_ratio", -1.0, 3.0, 5)),
         2.0,
-        ("seed_ratio 3 exceeds seed input cap 2", "seed_ratio must be >= 0",
+        ("seed_ratio 3 exceeds seed input cap 2", "seed_ratio must be finite and >= 0",
          "noise covariance overflows double precision"),
     ),
 ]
@@ -167,7 +168,7 @@ OPO_SEED_CAP = (
     Method.OPO_PHASE,
     (Axis("c0", 0.5, 0.6, 2), Axis("seed_ratio", -1.0, 10.0, 12)),
     1.0,
-    ("seed_ratio must be >= 0", "seed_ratio 2 exceeds seed input cap 1"),
+    ("seed_ratio must be finite and >= 0", "seed_ratio 2 exceeds seed input cap 1"),
 )
 
 # var_x and var_p finite, their product not: uncertainty = inf was an ok row
@@ -312,6 +313,10 @@ WRITER_GRIDS = [
 ]
 
 
+# WRITER_GRIDS without pytest.param wrappers
+WRITER_GRIDS_PLAIN = [getattr(g, "values", g) for g in WRITER_GRIDS]
+
+
 @pytest.mark.parametrize(
     "method, axes, seed_cap", WRITER_GRIDS, ids=lambda v: getattr(v, "value", "")
 )
@@ -319,6 +324,69 @@ def test_writers_match_per_row_writers_on_edge_grids(method, axes, seed_cap):
     grid = SweepGrid(method, axes, seed_cap)
     table = frontier_module.sweep(grid)
     assert_writers_match_per_row(method, table, cli._echo("sweep", grid, format="csv"))
+
+
+class EagerSkips(core.Skips):
+    """The Skips that formatted every message when its check ran, as the
+    reference for the one that formats them when they are read."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.text = np.full(n, "", dtype=object)
+
+    def skip(self, rows, template, *columns):
+        super().skip(rows, template, *columns)
+        values = zip(*(c[rows].tolist() for c in columns))
+        self.text[rows] = [template.format(*v) for v in values] if columns else template
+
+    def _reasons(self):
+        return self.text
+
+
+def test_reasons_formatted_on_read_equal_eager_reasons(monkeypatch):
+    lazy = {}
+    for method, axes, seed_cap in WRITER_GRIDS_PLAIN:
+        grid = SweepGrid(method, axes, seed_cap)
+        lazy[grid] = frontier_module.sweep(grid)
+    for module in (beamsplitter, opa, opo, optomech):
+        monkeypatch.setattr(module, "Skips", EagerSkips)
+    met = set()
+    for grid, table in lazy.items():
+        eager = frontier_module.sweep(grid)
+        assert isinstance(eager.reason, EagerSkips)
+        assert table.reason.tolist() == eager.reason.tolist()
+        config = cli._echo("sweep", grid, format="csv")
+        for write in (cli.sweep_csv, cli.sweep_json):
+            assert write(grid.method, table, config) == write(grid.method, eager, config)
+        met |= set(table.reason)
+    # domain, branch (the OPO residual), cutoff and seed cap
+    for kind in ("seed_ratio must be finite", "steady-state residual", CUTOFF,
+                 "exceeds seed input cap"):
+        assert any(kind in r for r in met), kind
+
+
+class Unformattable(str):
+    def format(self, *args):
+        raise AssertionError(f"formatted {str(self)!r}")
+
+
+@pytest.mark.parametrize(
+    "method", [Method.OM_AMPLITUDE, Method.OPO_AMPLITUDE], ids=lambda m: m.value
+)
+def test_frontier_formats_no_skip_message(monkeypatch, method):
+    skip = core.Skips.skip
+    monkeypatch.setattr(
+        core.Skips, "skip", lambda self, rows, template, *columns: skip(
+            self, rows, Unformattable(template), *columns
+        ),
+    )
+    grid = default_grid(method)
+    curves = frontier_module.frontier_suite(grid, DEFAULT_THRESHOLDS)
+    assert all(c.points for c in curves)
+    table = frontier_module.sweep(grid)
+    assert not table.ok.all()
+    with pytest.raises(AssertionError, match="formatted"):  # reading formats
+        table.reason[0]
 
 
 def test_writers_spell_nonfinite_values_signed_zeros_and_strings_as_before():
@@ -368,6 +436,24 @@ def test_bs_columns_equal_scalar_evaluator_bitwise_over_repeated_values():
         assert ok[i] and reason[i] == ""
         assert np.array([alpha_sq[i], var_x[i], var_p[i]]).tobytes() == expected.tobytes()
     assert ok.sum() == 9 * 8  # the rows of the valid b and theta values
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+def test_seed_columns_skip_nonfinite_seeds_as_the_scalar_path(regime):
+    # opa_columns skipped an infinite or NaN seed as a covariance overflow
+    seeds = [math.inf, math.nan, -1.0, -math.inf, 0.5]
+    seed, ones = np.array(seeds), np.ones(len(seeds))
+    for columns, scalar in (
+        (opa_columns(seed, ones, regime), lambda s: opa_evaluate(OpaParams(s, 1.0, regime), 1.0)),
+        (opo_columns(0.5 * ones, seed, regime), lambda s: opo_evaluate(OpoParams(0.5, s, regime))),
+    ):
+        *_, ok, reason = columns
+        assert ok.tolist() == [False] * 4 + [True]
+        for i, s in enumerate(seeds[:4]):
+            with pytest.raises(DomainError) as exc:
+                scalar(s)
+            assert reason[i] == str(exc.value) == f"seed_ratio must be finite and >= 0, got {s!r}"
+        assert reason[4] == "" and scalar(0.5)
 
 
 def test_table_views_read_like_records():

@@ -7,6 +7,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +17,7 @@ from sqzlab.core import (
     MethodPoint,
     QuadratureStats,
     Regime,
+    Skips,
     SqueezedAxis,
     squeeze_metrics,
     uncertainty,
@@ -107,6 +109,33 @@ def test_method_point_rejects_negative_alpha_sq():
         MethodPoint(alpha_sq=-0.1, stats=QuadratureStats(1.0, 1.0))
 
 
+class CountingTemplate(str):
+    """A template that counts the messages formatted from it."""
+
+    calls = 0
+
+    def format(self, *args):
+        CountingTemplate.calls += 1
+        return super().format(*args)
+
+
+def test_skips_format_each_reason_once_and_later_skips_win():
+    CountingTemplate.calls = 0
+    skips = Skips(5)
+    values = np.array([1.0, -2.0, 3.0, -4.0, 5.0])
+    skips.check(values > 0.0, CountingTemplate("negative {!r}"), values)
+    # row 3, skipped already, keeps its reason
+    skips.check(values < 4.0, CountingTemplate("large {!r}"), values)
+    assert CountingTemplate.calls == 0
+    assert skips.ok.tolist() == [True, False, True, False, False]
+    assert skips.tolist() == ["", "negative -2.0", "", "negative -4.0", "large 5.0"]
+    assert CountingTemplate.calls == 3
+    skips.skip(np.array([0, 3]), CountingTemplate("capped"))  # in place of any reason
+    assert skips[3] == "capped" and skips[1:3].tolist() == ["negative -2.0", ""]
+    assert list(skips) == ["capped", "negative -2.0", "", "capped", "large 5.0"]
+    assert CountingTemplate.calls == 4 and not skips.ok[0]
+
+
 # The value types as generated dataclasses that validate in __post_init__,
 # as they were defined before their __init__ was written out by hand: the
 # reference for fields, signature, repr, eq, hash and every message.
@@ -170,7 +199,9 @@ class RefOpoParams:
         if not 0.0 < self.c0 < 1.0:
             raise DomainError(f"c0 must lie in (0, 1), got {self.c0!r}")
         if not math.isfinite(self.seed_ratio) or self.seed_ratio < 0.0:
-            raise DomainError(f"seed_ratio must be >= 0, got {self.seed_ratio!r}")
+            raise DomainError(
+                f"seed_ratio must be finite and >= 0, got {self.seed_ratio!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,7 @@ def test_opo_amplitude_cutoff_skips_past_turnaround_around_domain_skips():
     records = sweep(grid)
     domain = [r for r in records if r.values["seed_ratio"] < 0.0]
     assert len(domain) == 6
-    assert all(r.skip_reason.startswith("seed_ratio must be >= 0") for r in domain)
+    assert all(r.skip_reason.startswith("seed_ratio must be finite and >= 0") for r in domain)
     assert any("past cutoff" in r.skip_reason for r in records)
     for c0 in (0.5, 0.7, 0.9):
         scan = sorted(
@@ -542,6 +542,86 @@ def test_bin_index_uses_math_log10_not_numpy():
     for p in moved:
         assert bins.index(p.alpha_sq) == _reference_index(bins, p.alpha_sq)
     assert frontier(moved, 2.0, bins) == _reference_frontier(moved, 2.0, bins)
+
+
+def _reference_indices(bins, values):
+    """_reference_index per value, -1 outside [lo, hi]."""
+    return np.array(
+        [-1 if i is None else i for i in (_reference_index(bins, v) for v in values)]
+    )
+
+
+def _numpy_indices(bins, values):
+    """The bin index from np.log10 alone, -1 outside [lo, hi]."""
+    lo, hi = math.log10(bins.lo), math.log10(bins.hi)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pos = (np.log10(values) - lo) / (hi - lo) * bins.count
+    inside = (values >= bins.lo) & (values <= bins.hi)
+    return np.where(inside, np.minimum(pos, bins.count - 1), -1).astype(int)
+
+
+def test_bin_indices_equal_math_log10_formula_on_default_grids():
+    bins = LogBins()
+    for method in Method:
+        alpha_sq = sweep(default_grid(method)).alpha_sq  # NaN where skipped
+        expected = _reference_indices(bins, alpha_sq.tolist())
+        assert (expected >= 0).any()
+        assert bins.indices(alpha_sq).tolist() == expected.tolist(), method
+
+
+# the default bins; narrow, many bins, where np.log10 moves many edge values;
+# and a span so narrow against |log10 x| that every value takes math.log10
+EDGE_BINS = [LogBins(), LogBins(1e-3, 7.0, 5000), LogBins(1e10, 1.00000000001e10, 200)]
+
+
+@pytest.mark.parametrize("bins", EDGE_BINS, ids=["default", "narrow", "libm-only"])
+def test_bin_indices_equal_math_log10_formula_beside_every_edge(bins):
+    edges = bins.edges()
+    below, above = np.nextafter(edges, 0.0), np.nextafter(edges, math.inf)
+    values = np.concatenate([edges, below, above, np.nextafter(below, 0.0)])
+    expected = _reference_indices(bins, values.tolist())
+    assert bins.indices(values).tolist() == expected.tolist()
+    if bins == LogBins(1e-3, 7.0, 5000):  # np.log10 alone would miss these
+        assert (_numpy_indices(bins, values) != expected).sum() > 100
+
+
+def _reference_rank(ranked):
+    """(input row, squeeze_db, U, bin) as the four-key np.lexsort ranked them."""
+    b = ranked.bins.indices(ranked.alpha_sq)
+    rows = np.flatnonzero(b >= 0)
+    db, u = squeeze_columns(ranked.var_x[rows], ranked.var_p[rows])
+    rank = np.lexsort((ranked.alpha_sq[rows], u, -db, b[rows]))
+    return rows[rank], db[rank], u[rank], b[rows[rank]]
+
+
+def _assert_rank_equals_reference(ranked):
+    got, expected = ranked.columns, _reference_rank(ranked)
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in expected]
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_rank_equals_four_key_lexsort_on_default_grids(method):
+    table = sweep(default_grid(method))
+    _assert_rank_equals_reference(frontier_module._Ranked.of_table(table, LogBins(), 10.0))
+
+
+def test_rank_equals_four_key_lexsort_on_forced_ties():
+    # rows tied on (bin, db) that differ in U and alpha_sq, rows tied on U
+    # too, and identical rows, which keep their input order
+    rng = np.random.default_rng(7)
+    n = 3000
+    alpha_sq = rng.choice([0.011, 0.012, 0.02, 0.5, 0.6, 5.0], n)
+    squeezed = rng.choice([0.25, 0.5], n)
+    anti = rng.choice([4.0, 5.0, 8.0], n)
+    swap = rng.random(n) < 0.5
+    var_x, var_p = np.where(swap, anti, squeezed), np.where(swap, squeezed, anti)
+    bins = LogBins(1e-2, 1.0, 2)
+    ranked = frontier_module._Ranked(alpha_sq, var_x, var_p, None, bins)
+    _assert_rank_equals_reference(ranked)
+    b = bins.indices(alpha_sq)
+    db, _ = squeeze_columns(var_x, var_p)
+    two_keys = np.lexsort((-db, b))[np.count_nonzero(b < 0):]
+    assert not np.array_equal(two_keys, _reference_rank(ranked)[0])  # ties reorder
 
 
 @pytest.mark.parametrize(
