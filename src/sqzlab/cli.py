@@ -11,7 +11,17 @@ Exit codes: 0 success, 2 configuration or domain error, 3 numerical
 non-convergence. All file output is deterministic: rerunning an identical
 configuration produces byte-identical files. Flags override values read
 from an optional key=value config file, and the effective configuration
-is echoed into the output metadata.
+is echoed into the output metadata. That echo, read back as a config file,
+writes the same output: besides the flags' keys it holds `command` (which
+must name the subcommand), `method` (another name for `methods`) and
+`tool_version` (ignored).
+
+The sweep writers format their rows in contiguous parts, one per CPU the
+process may use, with at least _PART_ROWS rows each: the process formats
+the first part, a child made with os.fork each other one, and the parts are
+joined in row order, so the bytes are those one process would write. Where
+os.fork is missing or fails, another thread is alive or a child fails, the
+process formats that part itself. No child outlives the writer.
 
 Parameter defaults used when an axis or flag is omitted: b=0, theta=0,
 seed_ratio=0, n_bar=0. c0, cc and dd have no defaults and must be given.
@@ -25,6 +35,7 @@ import json
 import math
 import os
 import sys
+import threading
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
@@ -61,6 +72,11 @@ EXIT_NONCONVERGED = 3
 
 RK4_STEPS_PER_UNIT_TIME = 4096  # the default of opa-trajectory --n-steps
 
+# The fewest rows a sweep writer formats in a part of their own (see _bounds).
+# On a 2-core host a fork and its wait took 3-8 ms, and formatting took 1.5-8
+# us a row, so two parts of 4,096 rows take less time than one of 8,192.
+_PART_ROWS = 4096
+
 
 def _fnum(x: float) -> str:
     """Shortest round-trip decimal form; deterministic across platforms."""
@@ -87,12 +103,12 @@ def read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in SCHEMA:
+        if key not in SCHEMA and key not in ECHO_KEYS:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r};"
-                f" expected one of {', '.join(SCHEMA)}"
+                f" expected one of {', '.join([*SCHEMA, *ECHO_KEYS])}"
             )
-        conf[key] = value.strip()
+        conf[ECHO_KEYS.get(key) or key] = value.strip()
     return conf
 
 
@@ -190,10 +206,24 @@ SCHEMA: dict[str, tuple[Callable[[str], object], str | None]] = {
 }
 
 
+# The keys an output's echo holds besides SCHEMA's, so that the echo reads
+# back as a config file, each with the SCHEMA key it stands for, if any.
+# `command` must name the subcommand that reads it; `method` is another name
+# for `methods`; `tool_version` is ignored, as an output echoes the version
+# that wrote it.
+ECHO_KEYS: dict[str, str | None] = {
+    "command": None, "method": "methods", "tool_version": None,
+}
+
+
 def _resolve_config(args: argparse.Namespace) -> tuple[dict[str, str], dict[str, object]]:
     """The text and the parsed value of each key that is set: from the config
     file, then from the flags given, then from the schema's defaults."""
     raw = read_config_file(args.config) if args.config else {}
+    command = raw.pop("command", args.cmd)
+    if command != args.cmd:
+        raise ConfigError(f"the config file is for command {command!r}, not {args.cmd!r}")
+    raw.pop("tool_version", None)
     for key, (_, default) in SCHEMA.items():
         flag = getattr(args, key)
         if flag is not None:
@@ -263,10 +293,12 @@ def _rows(
     table: SweepTable,
     ok_row: Callable[[list[list[str]], list[list[str]]], list],
     skipped_row: Callable[[list[str], list[list[str]]], list],
+    sep: str,
     json_numbers: bool = False,
-) -> list[str]:
-    """The text of each row of a table, in row order, one column formatted at
-    a time.
+) -> str:
+    """The text of the rows of a table, in row order, joined by sep; one
+    column is formatted at a time, over one part of the rows at a time (see
+    _bounds and _in_parts).
 
     ok_row gets the text of the ok rows' alpha_sq, var_x, var_p, squeeze_db
     and uncertainty (as squeeze_metrics gives them) and of their axis values,
@@ -276,22 +308,131 @@ def _rows(
     """
     ok = table.ok
     axes = [_axis_reprs(col, json_numbers) for col in table.values.values()]
-    db, u = squeeze_columns(table.var_x[ok], table.var_p[ok])
-    numbers = (table.alpha_sq[ok], table.var_x[ok], table.var_p[ok], db, u)
-    good = _joined(ok_row(
-        [_reprs(c, json_numbers) for c in numbers], [a[ok].tolist() for a in axes]
-    ))
-    if len(good) == len(ok):
-        return good
-    rows = np.empty(len(ok), dtype=object)
-    rows[ok] = good
-    del good
+    # the reasons are formatted and quoted here, each once, before any part
     reasons = table.reason[~ok].tolist()
     quote = encode_basestring_ascii if json_numbers else _csv_field
-    text = {reason: quote(reason) for reason in set(reasons)}  # each one once
-    quoted = [text[reason] for reason in reasons]
-    rows[~ok] = _joined(skipped_row(quoted, [a[~ok].tolist() for a in axes]))
-    return rows.tolist()
+    text = {reason: quote(reason) for reason in set(reasons)}
+    quoted = np.empty(len(ok), dtype=object)
+    quoted[~ok] = [text[reason] for reason in reasons]
+    del reasons, text
+
+    def part(start: int, stop: int) -> str:
+        span = slice(start, stop)
+        keep = ok[span]
+        alpha_sq, var_x, var_p = (
+            c[span][keep] for c in (table.alpha_sq, table.var_x, table.var_p)
+        )
+        db, u = squeeze_columns(var_x, var_p)
+        good = _joined(ok_row(
+            [_reprs(c, json_numbers) for c in (alpha_sq, var_x, var_p, db, u)],
+            [a[span][keep].tolist() for a in axes],
+        ))
+        if len(good) == len(keep):
+            return sep.join(good)
+        rows = np.empty(len(keep), dtype=object)
+        rows[keep] = good
+        del good
+        rows[~keep] = _joined(skipped_row(
+            quoted[span][~keep].tolist(), [a[span][~keep].tolist() for a in axes]
+        ))
+        return sep.join(rows.tolist())
+
+    return sep.join(_in_parts(part, _bounds(ok)))
+
+
+def _bounds(ok: np.ndarray) -> list[int]:
+    """The row indices that cut a table of rows into its parts: one part per
+    CPU this process may use, but none of fewer than _PART_ROWS rows. The
+    parts hold equal counts of ok rows, which cost several times what a
+    skipped row costs; with fewer ok rows than parts, equal counts of rows."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, len(ok) // _PART_ROWS))
+    marks = np.flatnonzero(ok)
+    if len(marks) < parts:
+        marks = np.arange(len(ok))
+    return [0, *marks[len(marks) * np.arange(1, parts) // parts].tolist(), len(ok)]
+
+
+def _in_parts(format_part: Callable[[int, int], str], bounds: list[int]) -> list[str]:
+    """format_part(start, stop) of each range between consecutive bounds, in
+    order.
+
+    This process formats the first range. Each other one is formatted by a
+    child made with os.fork, which sends its text back through a pipe. A
+    range is formatted here instead where os.fork is missing or fails, where
+    another thread is alive (a fork copies only the calling thread, so a
+    lock another thread holds would never be released in the child), or
+    where its child fails. Every child is reaped before this returns or
+    raises.
+    """
+    ranges = list(zip(bounds, bounds[1:]))
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    children: list[tuple[int, int] | None] = []
+    try:
+        for start, stop in ranges[1:]:
+            children.append(_fork_part(format_part, start, stop) if forks else None)
+        texts = [format_part(*ranges[0])]
+        sent = [child and _read_to_end(child[1]) for child in children]
+    finally:
+        exits = [child and _reap(*child) for child in children]
+    for (start, stop), data, status in zip(ranges[1:], sent, exits):
+        text = _received(data, status)
+        texts.append(format_part(start, stop) if text is None else text)
+    return texts
+
+
+def _fork_part(
+    format_part: Callable[[int, int], str], start: int, stop: int
+) -> tuple[int, int] | None:
+    """A child that formats rows start:stop: its pid and the read end of its
+    pipe, or None where no child can be made. The child sends the length of
+    its UTF-8 text in 8 bytes, then the text, and leaves by os._exit: it
+    never returns into the caller, writes no output and flushes no buffer
+    of this process."""
+    try:
+        read, write = os.pipe()
+    except OSError:  # out of file descriptors
+        return None
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)  # so that the next child holds no copy of it
+        return pid, read
+    status = 1
+    try:
+        data = format_part(start, stop).encode("utf-8", "surrogatepass")
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        while view:
+            view = view[os.write(write, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _reap(pid: int, read: int) -> int:
+    """Close a child's pipe, so that a child still writing fails, and wait for
+    it to exit; its wait status."""
+    os.close(read)
+    return os.waitpid(pid, 0)[1]
+
+
+def _received(data: bytes | None, status: int | None) -> str | None:
+    """The text a child sent, or None where there was no child, or it exited
+    non-zero or sent short data."""
+    if status != 0 or len(data) < 8 or int.from_bytes(data[:8], "little") != len(data) - 8:
+        return None
+    return str(memoryview(data)[8:], "utf-8", "surrogatepass")
 
 
 def _json_object(members: dict[str, list], depth: int) -> list:
@@ -319,12 +460,13 @@ def sweep_csv(method: Method, records: SweepTable, config: dict[str, object]) ->
     def fields(*columns: str | list[str]) -> list:
         return [piece for col in columns for piece in (",", col)][1:]
 
-    lines.extend(_rows(
+    body = _rows(
         records,
         lambda numbers, axes: fields(method.value, *axes, *numbers, "ok", ""),
         lambda reasons, axes: fields(method.value, *axes, *[""] * 5, "skipped", reasons),
-    ))
-    return "\n".join(lines) + "\n"
+        "\n",
+    )
+    return "\n".join([*lines, body] if body else lines) + "\n"
 
 
 def sweep_json(method: Method, records: SweepTable, config: dict[str, object]) -> str:
@@ -357,7 +499,7 @@ def sweep_json(method: Method, records: SweepTable, config: dict[str, object]) -
 
     doc = {"config": {k: str(v) for k, v in sorted(config.items())}, "points": []}
     head = json.dumps(doc, indent=1, sort_keys=True)  # ends in "[]\n}"
-    points = ",\n  ".join(_rows(records, ok_point, skipped_point, json_numbers=True))
+    points = _rows(records, ok_point, skipped_point, ",\n  ", json_numbers=True)
     if not points:
         return head + "\n"
     return f"{head[:-4]}[\n  {points}\n ]\n}}\n"

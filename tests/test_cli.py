@@ -1,10 +1,13 @@
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import time
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,6 +463,21 @@ def test_echo_keys_are_config_keys(capsys, command, cap):
     assert echo.get("seed_cap") == (cap[1] if cap else None)
 
 
+def test_echo_only_keys_read_back(tmp_path, capsys):
+    grid = ("--axis", "b=0:1:2", "--axis", "theta=0:1:2")
+    code, out, _ = run(capsys, "sweep", "--method", "bs", *grid, "--out", "-")
+    assert code == 0
+    echo = [l[2:] for l in out.splitlines() if l.startswith("# ")]
+    assert {l.split(" = ")[0] for l in echo} >= {"command", "method", "tool_version"}
+    conf = tmp_path / "echo.conf"
+    other_version = ["tool_version = 0.0.0" if l.startswith("tool_version") else l for l in echo]
+    conf.write_text("\n".join(other_version) + "\n")
+    assert run(capsys, "sweep", "--config", str(conf), "--out", "-") == (0, out, "")
+    code, again, err = run(capsys, "frontier", "--config", str(conf), "--out", "-")
+    assert (code, again) == (2, "")
+    assert err == "error: the config file is for command 'sweep', not 'frontier'\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sqzlab.cli", "point", "om", "--cc", "1", "--dd",
@@ -568,6 +586,61 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+# Runs main in a fresh interpreter with text already buffered on stdout; the
+# writers make two parts on any host. It reports on stderr a child process
+# left behind after main returns.
+_MAIN_AFTER_BUFFERED_TEXT = """
+import os, sys
+import sqzlab.cli as cli
+cli.os.sched_getaffinity = lambda pid: {0, 1}
+sys.stdout.write("buffered before main\\n")
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    sys.stderr.write("a child process was left behind\\n")
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+
+
+def main_subprocess(*argv):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-c", _MAIN_AFTER_BUFFERED_TEXT, *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def test_sweep_to_stdout_writes_the_bytes_of_its_file(tmp_path):
+    out = tmp_path / "opo_amplitude.csv"
+    to_file = cli_subprocess("sweep", "--method", "opo_amplitude", "--out", str(out))
+    to_stdout = subprocess.run(
+        [sys.executable, "-m", "sqzlab.cli", "sweep", "--method", "opo_amplitude",
+         "--out", "-"],
+        capture_output=True,
+    )
+    assert (to_file.returncode, to_stdout.returncode) == (0, 0)
+    assert (to_file.stdout, to_file.stderr, to_stdout.stderr) == ("", "", b"")
+    assert to_stdout.stdout == out.read_bytes()
+
+
+def test_text_buffered_before_main_is_written_once(tmp_path):
+    grid = ("--method", "bs", "--axis", "b=0:3:100", "--axis", "theta=0.1:1.5:100")
+    out = tmp_path / "bs.json"
+    assert main(["sweep", *grid, "--format", "json", "--out", str(out)]) == 0
+    proc = main_subprocess("sweep", *grid, "--format", "json", "--out", "-")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "buffered before main\n" + out.read_text()
+
+
+def test_unwritable_out_exits_2_and_leaves_no_child(tmp_path):
+    proc = main_subprocess("sweep", "--method", "opo_amplitude", "--out", str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (2, "buffered before main\n")
+    assert proc.stderr.startswith(f"error: cannot write {str(tmp_path)!r}: ")
+    assert proc.stderr.count("\n") == 1  # no traceback, no child left
+
+
 def test_multi_method_frontier_to_stdout_exits_2_before_sweeping(
     tmp_path, capsys, monkeypatch
 ):
@@ -642,7 +715,8 @@ def _runs(draw):
     if command == "sweep" and text["format"] == "svg":
         text["format"] = "csv"
     lines = ["# generated"]
-    if draw(st.booleans()):
+    malformed = draw(st.booleans())
+    if malformed:
         key = draw(st.sampled_from(list(_MALFORMED)))
         bad = draw(st.one_of(st.sampled_from(_MALFORMED[key]), _TEXT))
         if key == "line":
@@ -657,22 +731,55 @@ def _runs(draw):
             argv += [_FLAGS[key], value]
         else:
             lines.append(f"{key} = {value}")
-    return argv, "\n".join(lines) + "\n"
+    return argv, "\n".join(lines) + "\n", malformed
+
+
+def _echo_of(text):
+    """The settings an output echoes: a CSV's '# ' lines, a JSON document's
+    config, an SVG's desc."""
+    if text.startswith("{"):
+        return json.loads(text)["config"]
+    if text.startswith("<"):
+        desc = xml.dom.minidom.parseString(text).getElementsByTagName("desc")[0]
+        lines = desc.firstChild.data.splitlines()
+    else:
+        lines = [l[2:] for l in text.splitlines() if l.startswith("# ")]
+    return dict(l.split(" = ", 1) for l in lines)
+
+
+def assert_echo_reproduces(output: bytes):
+    """Fed back as a config file, the echo of an output writes the same bytes."""
+    echo = _echo_of(output.decode("utf-8"))
+    conf = "".join(f"{key} = {value}\n" for key, value in echo.items())
+    Path("echo.conf").write_text(conf, encoding="utf-8")
+    with np.errstate(all="ignore"):
+        assert main([echo["command"], "--config", "echo.conf", "--out", "again"]) == 0
+    assert Path("again").read_bytes() == output
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_runs())
 def test_generated_runs_keep_the_exit_contract(tmp_path, capsys, monkeypatch, run_spec):
-    argv, conf_text = run_spec
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.conf").write_text(conf_text, encoding="utf-8")
+    """Every run exits 0, 2 or 3 without a traceback, and the echo of each
+    output of a valid run reproduces it byte for byte."""
+    argv, conf_text, malformed = run_spec
+    work = Path(tempfile.mkdtemp(dir=tmp_path))  # one per example
+    monkeypatch.chdir(work)
+    (work / "run.conf").write_text(conf_text, encoding="utf-8")
     try:
         with np.errstate(all="ignore"):
             code = main([*argv, "--config", "run.conf"])
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code
         assert code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+    if code == 0 and not malformed:
+        outputs = [p.read_bytes() for p in work.rglob("*") if p.is_file() and p.name != "run.conf"]
+        outputs += [out.encode("utf-8")] if out else []
+        assert outputs
+        for output in outputs:
+            assert_echo_reproduces(output)
+            capsys.readouterr()

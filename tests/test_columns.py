@@ -3,13 +3,16 @@ the per-row writers they replaced, the OPO root against a 50-digit root, and
 the work cap on grids and trajectories."""
 
 import csv
+import errno
 import importlib
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -389,10 +392,12 @@ def test_frontier_formats_no_skip_message(monkeypatch, method):
         table.reason[0]
 
 
-def test_writers_spell_nonfinite_values_signed_zeros_and_strings_as_before():
+def _nonfinite_table():
+    """Hand-made rows: NaN and +-inf axis values, 0.0 beside -0.0, an ok row
+    whose U overflows, and reasons that need quoting."""
     nan, inf = math.nan, math.inf
     ok = np.array([True, True, False, False, False, True, False])
-    table = SweepTable(
+    return SweepTable(
         # 0.0 and -0.0 in one column keep their own text
         {"b": np.array([0.0, -0.0, nan, inf, -inf, -0.0, 0.0]), "theta": np.full(7, 0.5)},
         np.array([0.0, 1e-300, nan, nan, nan, 0.5, nan]),
@@ -404,7 +409,21 @@ def test_writers_spell_nonfinite_values_signed_zeros_and_strings_as_before():
         ("b", "theta", "extra"),  # a param without an axis reads 0.0
         {"tag": "t\u00e4g"},
     )
-    config = {"command": "sweep", "note": "\u00fc, \"q\""}
+
+
+def _empty_table():
+    return SweepTable(
+        {"b": np.array([])}, *(np.array([]) for _ in range(3)), np.array([], dtype=bool),
+        np.array([], dtype=object), ("b",), {},
+    )
+
+
+NONFINITE_CONFIG = {"command": "sweep", "note": "\u00fc, \"q\""}
+
+
+def test_writers_spell_nonfinite_values_signed_zeros_and_strings_as_before():
+    table = _nonfinite_table()
+    config = NONFINITE_CONFIG
     assert_writers_match_per_row(Method.BEAM_SPLITTER, table, config)
     with np.errstate(over="ignore"):
         text = cli.sweep_json(Method.BEAM_SPLITTER, table, config)
@@ -413,11 +432,173 @@ def test_writers_spell_nonfinite_values_signed_zeros_and_strings_as_before():
     assert '"b": -0.0' in text and '"b": 0.0' in text
     assert '\nbs,nan,0.5,,,,,,skipped,"b must be finite, got nan"\n' in csv_text
     assert "\nbs,-0.0,0.5,1e-300,1e+200,1e+200,-2000.0,inf,ok,\n" in csv_text
-    empty = SweepTable(
-        {"b": np.array([])}, *(np.array([]) for _ in range(3)), np.array([], dtype=bool),
-        np.array([], dtype=object), ("b",), {},
+    assert_writers_match_per_row(Method.BEAM_SPLITTER, _empty_table(), config)
+
+
+# The writers cut a table into parts and format all but the first in forked
+# children (cli._bounds, cli._in_parts). These tests cut every table of two
+# rows or more into three parts, one more than a 2-core host makes; the
+# conftest fixture fails a test that leaves a child behind.
+SPLIT_CPUS = 3
+
+
+@pytest.fixture
+def split_writers(monkeypatch):
+    monkeypatch.setattr(cli, "_PART_ROWS", 1)
+    monkeypatch.setattr(
+        cli.os, "sched_getaffinity", lambda pid: set(range(SPLIT_CPUS)), raising=False
     )
-    assert_writers_match_per_row(Method.BEAM_SPLITTER, empty, config)
+
+
+def both_writers(method, table, config):
+    """The text of the CSV and the JSON writer."""
+    with np.errstate(over="ignore"):  # U = inf in a hand-made row
+        return cli.sweep_csv(method, table, config), cli.sweep_json(method, table, config)
+
+
+def both_per_row(method, table, config):
+    with np.errstate(over="ignore"):
+        return csv_per_row(method, table, config), json_per_row(method, table, config)
+
+
+def writers_in_one_part(method, table, config):
+    """both_writers with the table in one part, formatted in this process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_PART_ROWS", len(table) + 1)
+        return both_writers(method, table, config)
+
+
+def _writer_cases():
+    """(id, method, table, config) of every WRITER_GRIDS grid and the hand-made tables."""
+    cases = []
+    for param in WRITER_GRIDS:
+        method, axes, seed_cap = getattr(param, "values", param)
+        grid = SweepGrid(method, axes, seed_cap)
+        name = getattr(param, "id", None) or f"{method.value}-{len(cases)}"
+        table = frontier_module.sweep(grid)
+        cases.append((name, method, table, cli._echo("sweep", grid, format="csv")))
+    cases.append(("nonfinite", Method.BEAM_SPLITTER, _nonfinite_table(), NONFINITE_CONFIG))
+    cases.append(("empty", Method.BEAM_SPLITTER, _empty_table(), NONFINITE_CONFIG))
+    return cases
+
+
+def test_split_writers_match_in_process_and_per_row_writers(split_writers):
+    cases = _writer_cases()
+    for name, method, table, config in cases:
+        bounds = cli._bounds(table.ok)
+        assert bounds[0] == 0 and bounds[-1] == len(table), name
+        assert len(bounds) - 1 == max(1, min(SPLIT_CPUS, len(table))), name
+        assert all(a < b for a, b in zip(bounds, bounds[1:])) or not len(table), name
+        split = both_writers(method, table, config)
+        assert split == writers_in_one_part(method, table, config), name
+        assert split == both_per_row(method, table, config), name
+    # the cases split all-skipped tables, one row, no rows, -0.0 axes, and
+    # cut right after a skipped row
+    tables = [table for _, _, table, _ in cases]
+    assert any(len(t) >= SPLIT_CPUS and not t.ok.any() for t in tables)
+    assert {0, 1} <= {len(t) for t in tables}
+    assert any(
+        np.signbit(col[col == 0.0]).any() for t in tables for col in t.values.values()
+    )
+    assert any(
+        t.ok.any() and not all(t.ok[b - 1] for b in cli._bounds(t.ok)[1:-1]) for t in tables
+    )
+
+
+def test_bounds_hold_equal_counts_of_ok_rows(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    table = frontier_module.sweep(default_grid(Method.OM_PHASE))
+    half = len(table) // 2  # 12,800 ok rows in the first half of the rows, 4,711 in the second
+    assert (table.ok[:half].sum(), table.ok[half:].sum()) == (12_800, 4_711)
+    start, cut, stop = cli._bounds(table.ok)
+    assert (start, stop) == (0, len(table))
+    assert (table.ok[:cut].sum(), table.ok[cut:].sum()) == (8_755, 8_756)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._bounds(table.ok) == [0, len(table)]
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert cli._bounds(table.ok) == [0, len(table)]
+    # a part of fewer than _PART_ROWS rows is not worth a fork
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "_PART_ROWS", len(table) // 2 + 1)
+    assert cli._bounds(table.ok) == [0, len(table)]
+
+
+def test_default_grid_writers_fork_one_child_each(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(cli.os, "fork", counted_fork)
+    grid = default_grid(Method.OM_PHASE)
+    table = frontier_module.sweep(grid)
+    config = cli._echo("sweep", grid, format="json")
+    split = both_writers(grid.method, table, config)
+    assert forks == [os.getpid()] * 2
+    assert split == writers_in_one_part(grid.method, table, config)
+
+
+def _fork_raising():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def _child_exiting(status):
+    def fork():
+        pid = REAL_FORK()
+        if pid == 0:
+            os._exit(status)
+        return pid
+    return fork
+
+
+def _child_sending_half():
+    pid = REAL_FORK()
+    if pid == 0:  # in the child only: write half of the text, then exit 0
+        def write_half(fd, data):
+            REAL_WRITE(fd, bytes(data[: len(data) // 2]))
+            os._exit(0)
+        os.write = write_half
+    return pid
+
+
+REAL_FORK, REAL_WRITE = getattr(os, "fork", None), os.write
+
+
+@pytest.mark.parametrize(
+    "fork",
+    [_fork_raising, None, _child_exiting(1), _child_exiting(0), _child_sending_half],
+    ids=["fork-raises", "no-fork", "child-exits-1", "child-sends-nothing", "child-sends-half"],
+)
+def test_writers_format_a_failed_part_in_process(split_writers, monkeypatch, fork):
+    cases = _writer_cases()
+    if fork is None:
+        monkeypatch.delattr(cli.os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "fork", fork)
+    for name, method, table, config in cases:
+        split = both_writers(method, table, config)
+        assert split == both_per_row(method, table, config), name
+
+
+def test_writers_do_not_fork_beside_another_thread(split_writers, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked beside another live thread")
+
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        for name, method, table, config in _writer_cases():
+            split = both_writers(method, table, config)
+            assert split == both_per_row(method, table, config), name
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
 
 
 def test_bs_columns_equal_scalar_evaluator_bitwise_over_repeated_values():
