@@ -16,12 +16,15 @@ writes the same output: besides the flags' keys it holds `command` (which
 must name the subcommand), `method` (another name for `methods`) and
 `tool_version` (ignored).
 
-The sweep writers format their rows in contiguous parts, one per CPU the
-process may use, with at least _PART_ROWS rows each: the process formats
-the first part, a child made with os.fork each other one, and the parts are
-joined in row order, so the bytes are those one process would write. Where
-os.fork is missing or fails, another thread is alive or a child fails, the
-process formats that part itself. No child outlives the writer.
+The sweep writers fill one template per kind of row, ok or skipped, column
+by column; the JSON writer has json.dumps lay out each template, so its
+points are laid out as json.dumps lays out the whole document. They format
+their rows in contiguous parts, one per CPU the process may use, with at
+least _PART_ROWS rows each: the process formats the first part, a child
+made with os.fork each other one, and the parts are joined in row order, so
+the bytes are those one process would write. Where os.fork is missing or
+fails, another thread is alive or a child fails, the process formats that
+part itself. No child outlives the writer.
 
 Parameter defaults used when an axis or flag is omitted: b=0, theta=0,
 seed_ratio=0, n_bar=0. c0, cc and dd have no defaults and must be given.
@@ -142,11 +145,7 @@ def parse_bins(spec: str) -> LogBins:
 
 def parse_thresholds(spec: str) -> tuple[float, ...]:
     try:
-        vals = tuple(
-            math.inf if t.strip() in ("inf", "Infinity") else float(t)
-            for t in spec.split(",")
-            if t.strip()
-        )
+        vals = tuple(float(t) for t in spec.split(",") if t.strip())
     except ValueError as exc:
         raise ConfigError(f"bad thresholds {spec!r}") from exc
     if not vals:
@@ -218,7 +217,9 @@ ECHO_KEYS: dict[str, str | None] = {
 
 def _resolve_config(args: argparse.Namespace) -> tuple[dict[str, str], dict[str, object]]:
     """The text and the parsed value of each key that is set: from the config
-    file, then from the flags given, then from the schema's defaults."""
+    file, then from the flags given, then from the schema's defaults. A flag's
+    text is stripped, as a file value is, so that the echo holds it as it
+    reads back; one that still holds a line break is rejected."""
     raw = read_config_file(args.config) if args.config else {}
     command = raw.pop("command", args.cmd)
     if command != args.cmd:
@@ -227,7 +228,10 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict[str, str], dict[str,
     for key, (_, default) in SCHEMA.items():
         flag = getattr(args, key)
         if flag is not None:
-            raw[key] = ";".join(flag) if key == "axes" else flag
+            text = ";".join(a.strip() for a in flag) if key == "axes" else flag.strip()
+            if "\n" in text or "\r" in text:
+                raise ConfigError(f"{key} must not hold a line break, got {text!r}")
+            raw[key] = text
         elif default is not None:
             raw.setdefault(key, default)
     return raw, {
@@ -276,36 +280,40 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _joined(pieces: list) -> list[str]:
-    """The text of each row: the str pieces as they are, and from each column
-    piece (a list of str, one per row) the row's own item."""
-    merged: list = []
-    for piece in pieces:
-        if isinstance(piece, str) and merged and isinstance(merged[-1], str):
-            merged[-1] += piece
-        else:
-            merged.append(piece)
-    columns = (itertools.repeat(p) if isinstance(p, str) else p for p in merged)
-    return list(map("".join, zip(*columns)))
+# A template's field: the index of its column between two _MARK characters.
+# No literal text of a template holds _MARK: json.dumps writes it as \u0000,
+# and the CSV templates' literals are a method name, commas and fixed words.
+_MARK = "\x00"
+
+
+def _field(index: int) -> str:
+    return f"{_MARK}{index}{_MARK}"
+
+
+def _filled(template: list[str | int], columns: list[list[str]]) -> list[str]:
+    """The text of each row: the template's literal pieces (str) as they are,
+    and for each field index (int) the row's item of that column."""
+    pieces = (itertools.repeat(p) if isinstance(p, str) else columns[p] for p in template)
+    return list(map("".join, zip(*pieces)))
 
 
 def _rows(
-    table: SweepTable,
-    ok_row: Callable[[list[list[str]], list[list[str]]], list],
-    skipped_row: Callable[[list[str], list[list[str]]], list],
-    sep: str,
-    json_numbers: bool = False,
+    table: SweepTable, ok_row: str, skipped_row: str, sep: str, json_numbers: bool = False
 ) -> str:
     """The text of the rows of a table, in row order, joined by sep; one
     column is formatted at a time, over one part of the rows at a time (see
     _bounds and _in_parts).
 
-    ok_row gets the text of the ok rows' alpha_sq, var_x, var_p, squeeze_db
-    and uncertainty (as squeeze_metrics gives them) and of their axis values,
-    and returns the pieces of those rows (see _joined); skipped_row gets the
-    skipped rows' reasons (JSON strings with json_numbers, else CSV fields)
-    and axis values.
+    ok_row and skipped_row are the templates of the two kinds of row: literal
+    text with _field(i) where column i goes. An ok row's columns are its axis
+    values, then its alpha_sq, var_x, var_p, squeeze_db and uncertainty (as
+    squeeze_metrics gives them); a skipped row's are its axis values, then
+    its reason (a JSON string with json_numbers, else a CSV field).
     """
+    ok_pieces, skipped_pieces = (
+        [int(p) if i % 2 else p for i, p in enumerate(t.split(_MARK)) if p]
+        for t in (ok_row, skipped_row)
+    )
     ok = table.ok
     axes = [_axis_reprs(col, json_numbers) for col in table.values.values()]
     # the reasons are formatted and quoted here, each once, before any part
@@ -323,18 +331,18 @@ def _rows(
             c[span][keep] for c in (table.alpha_sq, table.var_x, table.var_p)
         )
         db, u = squeeze_columns(var_x, var_p)
-        good = _joined(ok_row(
-            [_reprs(c, json_numbers) for c in (alpha_sq, var_x, var_p, db, u)],
-            [a[span][keep].tolist() for a in axes],
-        ))
+        good = _filled(ok_pieces, [
+            *(a[span][keep].tolist() for a in axes),
+            *(_reprs(c, json_numbers) for c in (alpha_sq, var_x, var_p, db, u)),
+        ])
         if len(good) == len(keep):
             return sep.join(good)
         rows = np.empty(len(keep), dtype=object)
         rows[keep] = good
         del good
-        rows[~keep] = _joined(skipped_row(
-            quoted[span][~keep].tolist(), [a[span][~keep].tolist() for a in axes]
-        ))
+        rows[~keep] = _filled(skipped_pieces, [
+            *(a[span][~keep].tolist() for a in axes), quoted[span][~keep].tolist()
+        ])
         return sep.join(rows.tolist())
 
     return sep.join(_in_parts(part, _bounds(ok)))
@@ -435,18 +443,6 @@ def _received(data: bytes | None, status: int | None) -> str | None:
     return str(memoryview(data)[8:], "utf-8", "surrogatepass")
 
 
-def _json_object(members: dict[str, list], depth: int) -> list:
-    """The pieces of the object that json.dumps(indent=1, sort_keys=True)
-    writes at nesting depth; each member maps to the pieces of its value."""
-    if not members:
-        return ["{}"]
-    pieces: list = ["{"]
-    for i, key in enumerate(sorted(members)):
-        pad = "," * (i > 0) + "\n" + " " * (depth + 1)
-        pieces += [pad, encode_basestring_ascii(key), ": ", *members[key]]
-    return pieces + ["\n" + " " * depth + "}"]
-
-
 def sweep_csv(method: Method, records: SweepTable, config: dict[str, object]) -> str:
     names = list(records.values)
     lines = [f"# {line}" for line in _metadata_lines(config)]
@@ -456,50 +452,40 @@ def sweep_csv(method: Method, records: SweepTable, config: dict[str, object]) ->
              "uncertainty", "status", "skip_reason"]
         )
     )
-
-    def fields(*columns: str | list[str]) -> list:
-        return [piece for col in columns for piece in (",", col)][1:]
-
+    fields = [_field(i) for i in range(len(names) + 5)]
     body = _rows(
         records,
-        lambda numbers, axes: fields(method.value, *axes, *numbers, "ok", ""),
-        lambda reasons, axes: fields(method.value, *axes, *[""] * 5, "skipped", reasons),
+        ",".join([method.value, *fields, "ok", ""]),
+        ",".join([method.value, *fields[:len(names)], *[""] * 5, "skipped", fields[len(names)]]),
         "\n",
     )
     return "\n".join([*lines, body] if body else lines) + "\n"
 
 
 def sweep_json(method: Method, records: SweepTable, config: dict[str, object]) -> str:
-    """The text of json.dumps(doc, indent=1, sort_keys=True), written from the
-    columns: each point's keys are laid out once, in order, for every row."""
+    """The text of json.dumps(doc, indent=1, sort_keys=True). Each kind of
+    point is laid out once, by json.dumps with a placeholder string for each
+    field, as the template that every row of that kind fills (see _rows)."""
     names = list(records.values)
-    tags = {key: [encode_basestring_ascii(v)] for key, v in records.tags.items()}
+    fields = [_field(i) for i in range(len(names) + 5)]
+    values = dict(zip(names, fields))
 
-    def point(status: str, reasons: str | list[str], axes: list[list[str]]) -> dict:
-        return {
-            "method": [encode_basestring_ascii(method.value)],
-            "values": _json_object({n: [col] for n, col in zip(names, axes)}, 3),
-            "status": [encode_basestring_ascii(status)],
-            "skip_reason": [reasons],
-        }
+    def template(**point: object) -> str:
+        point |= {"method": method.value, "values": values}
+        text = json.dumps(point, indent=1, sort_keys=True).replace("\n", "\n  ")
+        for field in fields:
+            text = text.replace(json.dumps(field), field)
+        return text
 
-    def ok_point(numbers: list[list[str]], axes: list[list[str]]) -> list:
-        by_name = dict(zip(names, axes))
-        params = {n: [by_name.get(n, "0.0")] for n in records.params} | tags
-        keys = ("alpha_sq", "var_x", "var_p", "squeeze_db", "uncertainty")
-        return _json_object(
-            point("ok", encode_basestring_ascii(""), axes)
-            | {key: [col] for key, col in zip(keys, numbers)}
-            | {"params": _json_object(params, 3)},
-            2,
-        )
-
-    def skipped_point(reasons: list[str], axes: list[list[str]]) -> list:
-        return _json_object(point("skipped", reasons, axes), 2)
-
+    keys = ("alpha_sq", "var_x", "var_p", "squeeze_db", "uncertainty")
+    ok_row = template(
+        status="ok", skip_reason="", **dict(zip(keys, fields[len(names):])),
+        params={n: values.get(n, 0.0) for n in records.params} | records.tags,
+    )
+    skipped_row = template(status="skipped", skip_reason=fields[len(names)])
     doc = {"config": {k: str(v) for k, v in sorted(config.items())}, "points": []}
     head = json.dumps(doc, indent=1, sort_keys=True)  # ends in "[]\n}"
-    points = _rows(records, ok_point, skipped_point, ",\n  ", json_numbers=True)
+    points = _rows(records, ok_row, skipped_row, ",\n  ", json_numbers=True)
     if not points:
         return head + "\n"
     return f"{head[:-4]}[\n  {points}\n ]\n}}\n"
@@ -532,7 +518,7 @@ def frontier_csv(
                   *param_names])
     )
     for curve in curves:
-        thr = "inf" if math.isinf(curve.threshold) else _fnum(curve.threshold)
+        thr = _fnum(curve.threshold)
         for p in curve.points:
             row = [thr, _fnum(p.alpha_sq), _fnum(p.squeeze_db), _fnum(p.uncertainty)]
             for name in param_names:

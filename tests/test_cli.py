@@ -665,8 +665,10 @@ def test_sweep_writes_to_the_config_files_out(tmp_path, capsys):
 
 
 # Generated sweep/frontier runs: a valid run, every key a flag or a config
-# line, and in about half the runs one key or line made malformed. Axes are
-# always set, at most 4 values each, so no run falls back to a full default grid.
+# line, each value (each --axis flag) padded with spaces, and in about half
+# the runs one key or line made malformed. Axes are always set, at most 4
+# values each, so no run falls back to a full default grid.
+_PAD = st.sampled_from(("", " ", "  "))
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)
 _VALID = {
     "thresholds": st.lists(st.sampled_from(("1", "1.1", "2", "inf")), min_size=1, max_size=4)
@@ -724,13 +726,17 @@ def _runs(draw):
         else:
             text[key] = bad
     argv = [command]
+
+    def padded(value):
+        return draw(_PAD) + value + draw(_PAD)
+
     for key, value in text.items():
         if key == "axes" and draw(st.booleans()):
-            argv += [arg for spec in value.split(";") for arg in ("--axis", spec)]
+            argv += [arg for spec in value.split(";") for arg in ("--axis", padded(spec))]
         elif key != "axes" and draw(st.booleans()):
-            argv += [_FLAGS[key], value]
+            argv += [_FLAGS[key], padded(value)]
         else:
-            lines.append(f"{key} = {value}")
+            lines.append(f"{key} = {padded(value)}")
     return argv, "\n".join(lines) + "\n", malformed
 
 
@@ -783,3 +789,48 @@ def test_generated_runs_keep_the_exit_contract(tmp_path, capsys, monkeypatch, ru
         for output in outputs:
             assert_echo_reproduces(output)
             capsys.readouterr()
+
+
+_BS_GRID = ("--method", "bs", "--axis", "b=0:1:2", "--axis", "theta=0.1:1:2")
+
+
+def test_flag_text_is_echoed_stripped(tmp_path, capsys, monkeypatch):
+    """Spaces and line breaks around a flag's value are not echoed, so that the
+    echo, read back as a config file, writes the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(
+        capsys, "frontier", "--method", " bs", "--axis", " b=0:1:2\n",
+        "--axis", "theta=0.1:1:2 ", "--thresholds", "2\n", "--bins", " 1e-6:1:200",
+        "--format", "csv ", "--out", "bs.csv",
+    )
+    assert code == 0
+    text = Path("bs.csv").read_text()
+    head = text[:text.index("\nthreshold,")].split("\n")
+    assert all(line.startswith("# ") for line in head)
+    assert {"# thresholds = 2", "# bins = 1e-6:1:200", "# format = csv"} <= set(head)
+    assert_echo_reproduces(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("flags", [
+    ("--thresholds", "1,\n2"),
+    ("--bins", "1e-6:1:\r200"),
+    ("--axis", "b=0:1:\n2"),
+    ("--format", "c\nsv"),
+], ids=lambda f: f[0])
+def test_flag_holding_a_line_break_exits_2_and_writes_nothing(tmp_path, capsys, flags):
+    code, out, err = run(capsys, "frontier", *_BS_GRID, *flags, "--out", str(tmp_path / "bs"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must not hold a line break" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_loads_no_oracle_multiprocessing_or_string():
+    """Every command pays for `import sqzlab.cli`: it loads neither the
+    oracle, nor multiprocessing, nor string."""
+    code = (
+        "import sys, sqzlab.cli\n"
+        "print(sorted({'sqzlab.oracle', 'multiprocessing', 'string'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -394,7 +394,9 @@ def test_frontier_formats_no_skip_message(monkeypatch, method):
 
 def _nonfinite_table():
     """Hand-made rows: NaN and +-inf axis values, 0.0 beside -0.0, an ok row
-    whose U overflows, and reasons that need quoting."""
+    whose U overflows, reasons that need quoting, and a tag that holds
+    template syntax (format fields, %s, a quote, cli._MARK and a marked
+    field), which the JSON writer must write as text."""
     nan, inf = math.nan, math.inf
     ok = np.array([True, True, False, False, False, True, False])
     return SweepTable(
@@ -407,7 +409,7 @@ def _nonfinite_table():
         np.array(["", "", "b must be finite, got nan", 'a "quoted", non-ASCII \u00e9 reason',
                   "tab\there", "", "{} braces {0}"], dtype=object),
         ("b", "theta", "extra"),  # a param without an axis reads 0.0
-        {"tag": "t\u00e4g"},
+        {"tag": 't\u00e4g {0} %s "q" ' + cli._MARK + " " + cli._field(1)},
     )
 
 
