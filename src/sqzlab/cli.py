@@ -26,6 +26,13 @@ the bytes are those one process would write. Where os.fork is missing or
 fails, another thread is alive or a child fails, the process formats that
 part itself. No child outlives the writer.
 
+A frontier run of several methods computes them in parts the same way:
+_task_parts groups the methods, longest grid first, into at most one part
+per usable CPU, and each part returns its methods' warnings and output
+texts as one JSON list. This process prints the warnings and writes the
+files in the configured order, as one process computing the methods in
+turn would.
+
 Parameter defaults used when an axis or flag is omitted: b=0, theta=0,
 seed_ratio=0, n_bar=0. c0, cc and dd have no defaults and must be given.
 """
@@ -119,10 +126,12 @@ def parse_axis(spec: str) -> Axis:
     """Axis syntax: name=lo:hi:count[:linear|log]."""
     try:
         name, rest = spec.split("=", 1)
-        fields = rest.split(":")
-        lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
-        spacing = Spacing(fields[3]) if len(fields) > 3 else Spacing.LINEAR
-    except (ValueError, IndexError) as exc:
+        lo, hi, count, *spacing = (field.strip() for field in rest.split(":"))
+        if len(spacing) > 1:
+            raise ValueError("more than four fields")
+        lo, hi, count = float(lo), float(hi), int(count)
+        spacing = Spacing(spacing[0]) if spacing else Spacing.LINEAR
+    except ValueError as exc:
         raise ConfigError(
             f"bad axis {spec!r}; expected name=lo:hi:count[:linear|log]"
         ) from exc
@@ -348,17 +357,42 @@ def _rows(
     return sep.join(_in_parts(part, _bounds(ok)))
 
 
+def _cpus() -> int:
+    """The count of CPUs this process may use."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _bounds(ok: np.ndarray) -> list[int]:
     """The row indices that cut a table of rows into its parts: one part per
     CPU this process may use, but none of fewer than _PART_ROWS rows. The
     parts hold equal counts of ok rows, which cost several times what a
     skipped row costs; with fewer ok rows than parts, equal counts of rows."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = max(1, min(cpus, len(ok) // _PART_ROWS))
+    parts = max(1, min(_cpus(), len(ok) // _PART_ROWS))
     marks = np.flatnonzero(ok)
     if len(marks) < parts:
         marks = np.arange(len(ok))
     return [0, *marks[len(marks) * np.arange(1, parts) // parts].tolist(), len(ok)]
+
+
+def _task_parts(rows: Sequence[int]) -> list[list[int]]:
+    """The indices of tasks of the given sizes, in grid rows, grouped into
+    parts for _in_parts: at most one part per CPU this process may use, filled
+    longest task first, each into the part with the fewest rows so far. A
+    part after the first that holds fewer than _PART_ROWS rows joins the
+    first, as it would not pay for its fork."""
+    parts: list[list[int]] = [[] for _ in range(min(_cpus(), len(rows)))]
+    sizes = [0] * len(parts)
+    for i in sorted(range(len(rows)), key=lambda i: -rows[i]):
+        k = sizes.index(min(sizes))
+        parts[k].append(i)
+        sizes[k] += rows[i]
+    kept = parts[:1]
+    for n, p in zip(sizes[1:], parts[1:]):
+        if n >= _PART_ROWS:
+            kept.append(p)
+        else:
+            kept[0] += p
+    return kept
 
 
 def _in_parts(format_part: Callable[[int, int], str], bounds: list[int]) -> list[str]:
@@ -392,7 +426,7 @@ def _in_parts(format_part: Callable[[int, int], str], bounds: list[int]) -> list
 def _fork_part(
     format_part: Callable[[int, int], str], start: int, stop: int
 ) -> tuple[int, int] | None:
-    """A child that formats rows start:stop: its pid and the read end of its
+    """A child that formats range start:stop: its pid and the read end of its
     pipe, or None where no child can be made. The child sends the length of
     its UTF-8 text in 8 bytes, then the text, and leaves by os._exit: it
     never returns into the caller, writes no output and flushes no buffer
@@ -643,21 +677,18 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         )
 
     grids = [_grid_for(method, conf) for method in methods]  # all checked first
-    for method, grid in zip(methods, grids):
+
+    def output(grid: SweepGrid) -> tuple[str | None, str]:
+        """One method's warning (None where it has none) and output text."""
+        method = grid.method
         curves = frontier_suite(grid, conf["thresholds"], conf["bins"])
+        warning = None
         if all(len(c.points) == 0 for c in curves):
-            print(
-                f"warning: empty feasible set for {method.value} at all thresholds",
-                file=sys.stderr,
-            )
+            warning = f"warning: empty feasible set for {method.value} at all thresholds"
         echo = _echo(
             "frontier", grid,
             thresholds=raw["thresholds"], bins=raw["bins"], format=fmt,
         )
-        if len(methods) == 1:
-            path = out_base
-        else:
-            path = f"{out_base}_{method.value}.{fmt}"
         if fmt == "svg":
             text = frontier_svg(
                 curves,
@@ -668,6 +699,26 @@ def cmd_frontier(args: argparse.Namespace) -> int:
             text = frontier_json(curves, echo)
         else:
             text = frontier_csv(curves, METHODS[method].params, echo)
+        return warning, text
+
+    # each part's outputs come back as one JSON list of (warning, text) pairs
+    parts = _task_parts([grid.rows for grid in grids])
+    order = [i for p in parts for i in p]
+
+    def part(start: int, stop: int) -> str:
+        return json.dumps([output(grids[i]) for i in order[start:stop]])
+
+    bounds = list(itertools.accumulate(map(len, parts), initial=0))
+    texts = _in_parts(part, bounds)
+    outputs = dict(zip(order, itertools.chain.from_iterable(map(json.loads, texts))))
+    for i, method in enumerate(methods):
+        warning, text = outputs[i]
+        if warning is not None:
+            print(warning, file=sys.stderr)
+        if len(methods) == 1:
+            path = out_base
+        else:
+            path = f"{out_base}_{method.value}.{fmt}"
         _write(path, text)
     return EXIT_OK
 

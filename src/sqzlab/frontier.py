@@ -145,13 +145,17 @@ class SweepGrid:
                     f"seed_cap caps a seed_ratio axis; the {self.method.value}"
                     " grid has none"
                 )
-        points = math.prod(ax.count for ax in self.axes)
-        if points > MAX_GRID_POINTS:
+        if self.rows > MAX_GRID_POINTS:
             raise ConfigError(
-                f"grid has {points} points; the limit is {MAX_GRID_POINTS}"
+                f"grid has {self.rows} points; the limit is {MAX_GRID_POINTS}"
             )
         if any(ax.name == "tau" and ax.lo < 0.0 for ax in self.axes):
             raise ConfigError("tau axis must be non-negative")
+
+    @property
+    def rows(self) -> int:
+        """The count of grid points, one row of its sweep each."""
+        return math.prod(ax.count for ax in self.axes)
 
 
 @dataclass(frozen=True)
@@ -329,7 +333,7 @@ def _kernel(
 
     def run(grid: SweepGrid) -> SweepTable:
         values = _grid_columns(grid.axes)
-        zeros = np.zeros(math.prod(ax.count for ax in grid.axes))
+        zeros = np.zeros(grid.rows)
         params = METHODS[grid.method].params
         cols = (values.get(name, zeros) for name in params)
         table = SweepTable(values, *evaluate(*cols, *fixed.values()), params, tags)

@@ -207,23 +207,20 @@ def test_frontier_multi_method_config_file(tmp_path, capsys):
     conf.write_text(
         "methods = bs, om_amplitude\n"
         "thresholds = 1.1, 2\n"
-        "bins = 1e-4:1:30\n"
-        "format = csv\n"
-        f"out = {tmp_path}/multi\n"
-        "axes = b=0:4:10;theta=0.01:1.57:20:log\n"  # applies to bs only if single
-    )
-    # per-method axes are ambiguous for multi-method runs, so use defaults:
-    conf.write_text(
-        "methods = bs, om_amplitude\n"
-        "thresholds = 1.1, 2\n"
         "bins = 1e-3:1:20\n"
         "format = csv\n"
         f"out = {tmp_path}/multi\n"
     )
     code, _, _ = run(capsys, "frontier", "--config", str(conf))
     assert code == 0
-    assert (tmp_path / "multi_bs.csv").exists()
-    assert (tmp_path / "multi_om_amplitude.csv").exists()
+    for method in ("bs", "om_amplitude"):
+        single = tmp_path / f"single_{method}.csv"
+        code, _, _ = run(
+            capsys, "frontier", "--config", str(conf), "--method", method,
+            "--out", str(single),
+        )
+        assert code == 0
+        assert (tmp_path / f"multi_{method}.csv").read_bytes() == single.read_bytes()
 
 
 def test_config_flags_override_file(tmp_path, capsys):
@@ -321,6 +318,39 @@ def test_parse_helpers():
         parse_axis("b=0:3")
     with pytest.raises(ConfigError):
         parse_thresholds("abc")
+
+
+_BS_AXES_SPACED = "b= 0.1 :1: 2 : log ; theta = 0.1:1 :2"
+
+
+def test_axis_fields_are_stripped_in_a_flag_and_a_config_line(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    code, _, _ = run(
+        capsys, "frontier", "--method", "bs", "--axis", "b=0.1:1:2:log",
+        "--axis", "theta=0.1:1:2", "--thresholds", "2", "--out", str(plain),
+    )
+    assert code == 0
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"methods = bs\nthresholds = 2\naxes = {_BS_AXES_SPACED}\n")
+    from_flags, from_file = tmp_path / "flags.csv", tmp_path / "file.csv"
+    flags = [a for spec in _BS_AXES_SPACED.split(";") for a in ("--axis", spec)]
+    assert run(capsys, "frontier", "--method", "bs", *flags, "--thresholds", "2",
+               "--out", str(from_flags)) == (0, "", "")
+    assert run(capsys, "frontier", "--config", str(conf), "--out", str(from_file)) == (0, "", "")
+    assert from_flags.read_bytes() == from_file.read_bytes() == plain.read_bytes()
+    # the echo is that of the plain axes, so that it reads back
+    assert "# axes = b=0.1:1.0:2:log;theta=0.1:1.0:2:linear\n" in plain.read_text()
+
+
+@pytest.mark.parametrize("spec", ["b=0.1:1:2:log:junk", "b=0.1:1:2:log:", "b=0:1:2:linear:log"])
+def test_axis_with_a_fifth_field_exits_2(tmp_path, capsys, spec):
+    message = f"error: bad axis {spec!r}; expected name=lo:hi:count[:linear|log]\n"
+    argv = ("frontier", "--method", "bs", "--axis", "theta=0.1:1:2", "--out", "-")
+    assert run(capsys, *argv, "--axis", spec) == (2, "", message)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"methods = bs\naxes = {spec};theta=0.1:1:2\n")
+    code, out, err = run(capsys, "frontier", "--config", str(conf), "--out", "-")
+    assert (code, out, err) == (2, "", message)
 
 
 def test_config_file_parse(tmp_path):

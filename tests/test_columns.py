@@ -1,6 +1,7 @@
 """The columnar sweep against the scalar evaluators, the sweep writers against
-the per-row writers they replaced, the OPO root against a 50-digit root, and
-the work cap on grids and trajectories."""
+the per-row writers they replaced, a multi-method frontier computed in parts
+against one process, the OPO root against a 50-digit root, and the work cap
+on grids and trajectories."""
 
 import csv
 import errno
@@ -601,6 +602,140 @@ def test_writers_do_not_fork_beside_another_thread(split_writers, monkeypatch):
         release.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
+
+
+# A multi-method frontier computes its methods in parts too (cli._task_parts
+# groups them; cli._in_parts runs the parts). At threshold 1 both OPO grids
+# have an empty feasible set, so the run warns for two methods that are not
+# first. FRONTIER_PARTS puts the later of them in the first part and the
+# other in a child, so warnings in part order would be out of config order.
+FRONTIER_METHODS = ("bs", "opo_phase", "om_amplitude", "opo_amplitude")
+FRONTIER_PARTS = [[3], [1, 0], [2]]
+FRONTIER_WARNINGS = "".join(
+    f"warning: empty feasible set for {m} at all thresholds\n"
+    for m in ("opo_phase", "opo_amplitude")
+)
+FIGURES_CONF = (
+    "methods = bs, opo_phase, opa_phase, om_amplitude\n"
+    "thresholds = 1.001, 1.01, 1.1, 2.0, 10.0\n"
+    "bins = 1e-6:1:200\n"
+    "format = svg\n"
+)
+
+
+def counted_forks(monkeypatch):
+    """The pids that call cli.os.fork from now on; the fork is the real one."""
+    forks = []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return REAL_FORK()
+
+    monkeypatch.setattr(cli.os, "fork", counted_fork)
+    return forks
+
+
+def frontier_files(tmp_path, capsys, *argv):
+    """(exit code, stdout, stderr, {file name: bytes}) of a frontier run
+    that writes its files into a new directory under tmp_path."""
+    out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    code = cli.main(["frontier", *argv, "--out", str(out / "f")])
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, captured.out, captured.err, files
+
+
+def frontier_in_one_process(tmp_path, capsys, *argv):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        forks = counted_forks(patch)
+        run = frontier_files(tmp_path, capsys, *argv)
+    assert forks == []
+    return run
+
+
+def test_task_parts_group_longest_grid_first(monkeypatch):
+    rows = [48_400, 91_200, 9_600, 25_600]  # the four-figure grids, in config order
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._task_parts(rows) == [[1], [0, 3, 2]]
+    assert cli._task_parts(rows[:1]) == [[0]]
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli._task_parts(rows) == [[1], [0], [3, 2]]
+    monkeypatch.setattr(cli, "_PART_ROWS", 48_400)  # the third part joins the first
+    assert cli._task_parts(rows) == [[1, 3, 2], [0]]
+    monkeypatch.setattr(cli, "_PART_ROWS", 48_400 + 9_600 + 25_600 + 1)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._task_parts(rows) == [[1, 0, 3, 2]]
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._task_parts(rows) == [[1, 0, 3, 2]]
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert cli._task_parts(rows) == [[1, 0, 3, 2]]
+
+
+def test_four_figure_config_forks_once_on_two_cpus(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "figures.conf"
+    conf.write_text(FIGURES_CONF)
+    one = frontier_in_one_process(tmp_path, capsys, "--config", str(conf))
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = counted_forks(monkeypatch)
+    two = frontier_files(tmp_path, capsys, "--config", str(conf))
+    assert forks == [os.getpid()]
+    assert two == one
+    assert one[:3] == (0, "", "")
+    methods = ("bs", "om_amplitude", "opa_phase", "opo_phase")
+    assert sorted(one[3]) == [f"f_{m}.svg" for m in methods]
+
+
+def test_frontier_of_small_grids_forks_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = counted_forks(monkeypatch)
+    grid = ("--axis", "c0=0.1:0.9:40", "--axis", "seed_ratio=1e-4:1:50:log")
+    assert 40 * 50 < cli._PART_ROWS
+    code, _, _, files = frontier_files(
+        tmp_path, capsys, "--method", "opo_phase,opo_amplitude", *grid
+    )
+    assert forks == []
+    assert (code, sorted(files)) == (0, ["f_opo_amplitude.csv", "f_opo_phase.csv"])
+
+
+def _no_fork():
+    raise AssertionError("forked beside another live thread")
+
+
+@pytest.mark.parametrize(
+    "fork",
+    [None, _fork_raising, "missing", _child_exiting(1), _child_exiting(0),
+     _child_sending_half, _no_fork],
+    ids=["forks", "fork-raises", "no-fork", "child-exits-1", "child-sends-nothing",
+         "child-sends-half", "thread"],
+)
+def test_frontier_parts_give_the_bytes_and_warnings_of_one_process(
+    tmp_path, capsys, monkeypatch, fork
+):
+    argv = ("--method", ",".join(FRONTIER_METHODS), "--thresholds", "1", "--format", "json")
+    one = frontier_in_one_process(tmp_path, capsys, *argv)
+    assert one[:3] == (0, "", FRONTIER_WARNINGS)
+    assert sorted(one[3]) == sorted(f"f_{m}.json" for m in FRONTIER_METHODS)
+    monkeypatch.setattr(cli, "_task_parts", lambda rows: FRONTIER_PARTS)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    if fork is None:
+        forks = counted_forks(monkeypatch)
+    elif fork == "missing":
+        monkeypatch.delattr(cli.os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "fork", fork)
+    if fork is _no_fork:
+        thread.start()
+    try:
+        assert frontier_files(tmp_path, capsys, *argv) == one
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join(timeout=30)
+    assert not thread.is_alive()
+    if fork is None:
+        assert forks == [os.getpid()] * 2
 
 
 def test_bs_columns_equal_scalar_evaluator_bitwise_over_repeated_values():

@@ -189,3 +189,10 @@ def test_amplitude_alpha_sq_nonmonotone_in_seed():
     cut = amplitude_cutoff_index(a2)
     assert cut is not None  # deamplified branch always turns around
     assert 0 < cut < len(seeds)
+
+
+@pytest.mark.parametrize("regime, name", [(PHASE, "phase"), (AMP, "amplitude")])
+def test_evaluate_tags_the_regime_by_its_string(regime, name):
+    params = opo_evaluate(OpoParams(0.5, 0.01, regime)).params
+    assert params == {"c0": 0.5, "seed_ratio": 0.01, "regime": name}
+    assert type(params["regime"]) is str

@@ -176,3 +176,10 @@ def test_dd_zero_allowed_for_evaluate():
     pt = om_evaluate(OmParams(0.5, 0.0, 0.0, AMPLITUDE))
     assert pt.stats.var_x == pytest.approx(0.5)
     assert math.isfinite(pt.stats.var_p)
+
+
+@pytest.mark.parametrize("axis, name", [(AMPLITUDE, "amplitude"), (PHASE, "phase")])
+def test_evaluate_tags_the_axis_by_its_string(axis, name):
+    params = om_evaluate(OmParams(0.5, 0.3, 0.1, axis)).params
+    assert params == {"cc": 0.5, "dd": 0.3, "n_bar": 0.1, "axis": name}
+    assert type(params["axis"]) is str
